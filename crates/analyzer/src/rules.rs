@@ -641,11 +641,13 @@ impl Rule for PersistTypesDeriveSerde {
 
 /// `panic-reachability`: no panic source may be transitively reachable
 /// from a hot-path entry point. Entries are every non-test function in the
-/// query-scoring and serving files (`topk.rs`, `ql.rs`, `bm25.rs`,
-/// `motif.rs`, `cache.rs`, `serve.rs`) plus
-/// `Csr::neighbors`. Panic sources are `.unwrap()`, `.expect(..)` whose
-/// message does not name an invariant, the panicking macros, and (one
-/// severity step lower) bare indexing with no covering assert.
+/// [`ENTRY_FILES`] — retrieval and scoring (searchlite `topk`, `ql`,
+/// `bm25`, `searcher`, `shard`), motif matching and serving (core
+/// `motif`, `spec`, `cache`, `serve`, `sharded`), admission control, the
+/// open-loop load bench, and the snapshot store — plus `Csr::neighbors`.
+/// Panic sources are `.unwrap()`, `.expect(..)` whose message does not
+/// name an invariant, the panicking macros, and (one severity step lower)
+/// bare indexing with no covering assert.
 pub struct PanicReachability;
 
 /// Files whose non-test functions are hot-path entry points.
@@ -680,7 +682,7 @@ impl AstRule for PanicReachability {
     }
 
     fn description(&self) -> &'static str {
-        "no unwrap/expect/panic!/unguarded indexing reachable from hot-path entries (topk, ql, bm25, motif, Csr::neighbors)"
+        "no unwrap/expect/panic!/unguarded indexing reachable from hot-path entries (retrieval/scoring, motif matching, serving, admission, load bench, snapshot store, Csr::neighbors)"
     }
 
     fn default_severity(&self) -> Severity {
@@ -1319,11 +1321,24 @@ impl AstRule for NoBlockingWhileLocked {
         // of workspace hops to the expensive work.
         let sums = Summaries::build(model, graph);
         let lm = dataflow::lock_model(model);
+        let node_of: BTreeMap<(&str, u32, &str), usize> = graph
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| ((n.file.as_str(), n.line, n.qual.as_str()), id))
+            .collect();
         let mut seen: BTreeSet<(String, u32, String, String)> = BTreeSet::new();
         for f in &lm.fns {
             if f.is_test {
                 continue;
             }
+            // A locked call resolves through the enclosing fn's call-graph
+            // edges, so it gets the graph's qualifier and std-method rules:
+            // `.collect()` is std's, not some workspace fn named `collect`.
+            let callees = node_of
+                .get(&(f.file.as_str(), f.line, f.qual.as_str()))
+                .map(|&id| graph.callees(id))
+                .unwrap_or_default();
             for call in &f.locked_calls {
                 let locks: Vec<&(String, u32)> = call
                     .locks
@@ -1336,15 +1351,10 @@ impl AstRule for NoBlockingWhileLocked {
                 let why = if is_expensive_name(&call.callee) {
                     Some(format!("`{}` is expensive/blocking work", call.callee))
                 } else {
-                    graph
-                        .find(&call.callee)
-                        .into_iter()
-                        .find_map(|id| {
-                            if graph.nodes[id].is_test {
-                                return None;
-                            }
-                            sums.fns[id].blocks.as_ref().map(|b| (id, b))
-                        })
+                    callees
+                        .iter()
+                        .filter(|&&id| graph.nodes[id].name == call.callee)
+                        .find_map(|&id| sums.fns[id].blocks.as_ref().map(|b| (id, b)))
                         .map(|(id, b)| {
                             let mut chain = vec![graph.nodes[id].qual.clone()];
                             chain.extend(b.via.iter().cloned());

@@ -232,6 +232,25 @@ fn lock_blocking_reaches_through_helpers_cross_file() {
 }
 
 #[test]
+fn lock_blocking_std_collect_is_not_a_workspace_collect() {
+    let diags = lint(&[("crates/x/src/lib.rs", fixture("lock_blocking_collect_good.rs"))]);
+    assert!(
+        of_rule(&diags, "no-blocking-while-locked").is_empty(),
+        "an iterator `.collect()` must not resolve to the blocking TracedRun::collect: {diags:?}"
+    );
+}
+
+#[test]
+fn lock_blocking_qualified_collect_still_fires() {
+    let diags = lint(&[("crates/x/src/lib.rs", fixture("lock_blocking_collect_bad.rs"))]);
+    let hits = of_rule(&diags, "no-blocking-while-locked");
+    assert_eq!(hits.len(), 1, "only the qualified call blocks: {diags:?}");
+    assert_eq!(hits[0].line, 22, "{}", hits[0].message);
+    assert!(hits[0].message.contains("TracedRun::collect"), "{}", hits[0].message);
+    assert!(hits[0].message.contains("views"), "{}", hits[0].message);
+}
+
+#[test]
 fn lock_blocking_maint_lock_is_allowlisted() {
     let src = "pub fn maintain(&self) { let g = self.maint.lock(); self.task.seal(); }";
     let diags = lint(&[("crates/x/src/lib.rs", src.to_string())]);

@@ -2,8 +2,8 @@
 //! up: every workspace function gets an effect summary (the summary
 //! vector is index-aligned with the call graph), the SCC decomposition
 //! is a bottom-up partition, and the summaries of known service
-//! functions say what the source plainly does — `seal` may block,
-//! `live_lock` is a guard accessor for `live`.
+//! functions say what the source plainly does — `Service::seal` may
+//! block, `Mono::live_lock` is a guard accessor for `live`.
 
 use std::path::Path;
 
@@ -86,20 +86,20 @@ fn service_summaries_match_the_source() {
     let sums = Summaries::build(&model, &graph);
 
     let seal = graph
-        .find("QueryService::seal")
+        .find("Service::seal")
         .into_iter()
         .next()
-        .expect("QueryService::seal exists");
+        .expect("Service::seal exists");
     assert!(
         sums.fns[seal].blocks.is_some(),
         "seal builds segments — it must summarize as may-block"
     );
 
     let live_lock = graph
-        .find("QueryService::live_lock")
+        .find("Mono::live_lock")
         .into_iter()
         .next()
-        .expect("QueryService::live_lock exists");
+        .expect("Mono::live_lock exists");
     assert_eq!(
         sums.fns[live_lock].returns_guard_of.as_deref(),
         Some("live"),

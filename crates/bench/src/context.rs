@@ -2,8 +2,10 @@
 
 use entitylink::{Dictionary, EntityLinker, LinkerConfig};
 use ireval::Qrels;
-use searchlite::{Analyzer, Index, IndexBuilder};
-use sqe::{ExpandConfig, SqeConfig};
+use std::sync::Arc;
+
+use searchlite::{Analyzer, Index, IndexBuilder, ShardRouter};
+use sqe::{Clock, ExpandConfig, ServeConfig, ShardedService, SqeConfig};
 use synthwiki::{GroundTruth, TestBed, TestBedConfig};
 
 use crate::runs::DatasetRunner;
@@ -66,6 +68,36 @@ impl ExperimentContext {
         let ds = self.bed.dataset(dataset);
         let index = &self.indexes[ds.collection];
         DatasetRunner::new(self, ds, index)
+    }
+
+    /// A sharded service over one collection, filled by routing every
+    /// document through the ingestion path and sealing once at the end;
+    /// its metrics start from zero (the ingest-phase counters dropped).
+    pub fn sharded_service(
+        &self,
+        collection: usize,
+        shards: usize,
+        serve_cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> ShardedService<'_> {
+        let service = ShardedService::with_clock(
+            &self.bed.kb.graph,
+            Analyzer::english(),
+            ShardRouter::new(shards),
+            self.sqe_config,
+            serve_cfg,
+            clock,
+        );
+        if let Some(coll) = self.bed.collections.get(collection) {
+            for doc in &coll.docs {
+                service
+                    .add_document(&doc.id, &doc.text)
+                    .expect("invariant: test-bed document ids are unique");
+            }
+        }
+        service.seal_all();
+        service.reset_metrics();
+        service
     }
 
     /// trec_eval-style qrels of a dataset.

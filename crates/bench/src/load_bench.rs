@@ -31,11 +31,10 @@ use std::time::Duration;
 
 use entitylink::{perturb_query, NoiseRng, PerturbationModel};
 use kbgraph::ArticleId;
-use searchlite::{Analyzer, SearchHit, ShardRouter};
 use serde::Serialize;
 use sqe::{
-    AdmissionConfig, Clock, Deadline, MetricsSnapshot, MonotonicClock, QueryService, ServeConfig,
-    ServeOutcome, ShardedService, ShedReason, Ticket,
+    AdmissionConfig, Clock, Corpus, Deadline, MetricsSnapshot, MonotonicClock, QueryService,
+    ServeConfig, ServeOutcome, Service, Ticket,
 };
 
 use crate::context::ExperimentContext;
@@ -110,7 +109,7 @@ pub struct LoadLevelReport {
     pub completed: u64,
     /// Requests rejected by admission control.
     pub shed: u64,
-    /// Shed counts keyed by [`ShedReason::name`].
+    /// Shed counts keyed by [`ShedReason::name`](sqe::ShedReason::name).
     pub shed_by_reason: BTreeMap<String, u64>,
     /// Requests abandoned at a stage boundary after their deadline.
     pub deadline_exceeded: u64,
@@ -164,62 +163,6 @@ pub struct LoadBenchReport {
     pub levels: Vec<LoadLevelReport>,
 }
 
-/// Either service flavour behind one dispatch loop.
-enum BenchService<'a> {
-    Mono(QueryService<'a>),
-    Sharded(ShardedService<'a>),
-}
-
-impl BenchService<'_> {
-    fn admit(&self) -> Result<Ticket, ShedReason> {
-        match self {
-            BenchService::Mono(s) => s.admit(),
-            BenchService::Sharded(s) => s.admit(),
-        }
-    }
-
-    fn serve_admitted(
-        &self,
-        ticket: Ticket,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        match self {
-            BenchService::Mono(s) => s.serve_admitted(ticket, text, nodes, deadline),
-            BenchService::Sharded(s) => s.serve_admitted(ticket, text, nodes, deadline),
-        }
-    }
-
-    fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
-        match self {
-            BenchService::Mono(s) => s.serve_at_rung(rung, text, nodes),
-            BenchService::Sharded(s) => s.serve_at_rung(rung, text, nodes),
-        }
-    }
-
-    fn record_ladder_cost(&self, rung: usize, nanos: u64) {
-        match self {
-            BenchService::Mono(s) => s.record_ladder_cost(rung, nanos),
-            BenchService::Sharded(s) => s.record_ladder_cost(rung, nanos),
-        }
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        match self {
-            BenchService::Mono(s) => s.metrics_snapshot(),
-            BenchService::Sharded(s) => s.metrics_snapshot(),
-        }
-    }
-
-    fn reset_metrics(&self) {
-        match self {
-            BenchService::Mono(s) => s.reset_metrics(),
-            BenchService::Sharded(s) => s.reset_metrics(),
-        }
-    }
-}
-
 /// What one request contributed to the run.
 enum Obs {
     /// A ranking came back, at the given ladder rung index.
@@ -262,61 +205,11 @@ fn build_workload(
     out
 }
 
-/// Builds one service with the given admission configuration, sharing
-/// the bench's clock so arrival stamps and deadlines live in the same
-/// timebase as the controller's decisions.
-fn build_service<'a>(
-    ctx: &'a ExperimentContext,
-    opts: &LoadBenchOptions,
-    admission: AdmissionConfig,
-    clock: &Arc<MonotonicClock>,
-) -> BenchService<'a> {
-    let serve_cfg = ServeConfig {
-        workers: opts.workers,
-        cache_capacity: opts.cache_capacity,
-        admission,
-        ..ServeConfig::default()
-    };
-    let ds = ctx.bed.dataset("imageclef");
-    if opts.shards > 1 {
-        let service = ShardedService::with_clock(
-            &ctx.bed.kb.graph,
-            Analyzer::english(),
-            ShardRouter::new(opts.shards),
-            ctx.sqe_config,
-            serve_cfg,
-            Arc::clone(clock) as Arc<dyn sqe::Clock>,
-        );
-        if let Some(coll) = ctx.bed.collections.get(ds.collection) {
-            for doc in &coll.docs {
-                service
-                    .add_document(&doc.id, &doc.text)
-                    .expect("invariant: test-bed document ids are unique");
-            }
-        }
-        service.seal_all();
-        service.reset_metrics(); // drop the ingest-phase counters
-        BenchService::Sharded(service)
-    } else {
-        let index = ctx
-            .indexes
-            .get(ds.collection)
-            .expect("invariant: every dataset's collection is indexed");
-        BenchService::Mono(QueryService::with_clock(
-            &ctx.bed.kb.graph,
-            index,
-            ctx.sqe_config,
-            serve_cfg,
-            Arc::clone(clock) as Arc<dyn sqe::Clock>,
-        ))
-    }
-}
-
 /// Runs every workload item once per ladder rung, which both measures
 /// the per-rung cost distributions and warms the expansion cache. The
 /// service records each run into its ladder histograms, so afterwards
 /// the metrics snapshot *is* the calibration.
-fn calibrate(service: &BenchService<'_>, workload: &[(String, Vec<ArticleId>)]) -> Vec<u64> {
+fn calibrate<C: Corpus>(service: &Service<'_, C>, workload: &[(String, Vec<ArticleId>)]) -> Vec<u64> {
     let rungs = service.metrics_snapshot().ladder_cost.len();
     for rung in 0..rungs {
         for (text, nodes) in workload {
@@ -330,7 +223,7 @@ fn calibrate(service: &BenchService<'_>, workload: &[(String, Vec<ArticleId>)]) 
 
 /// Re-seeds the degraded-mode ladder after a metrics reset so the first
 /// protected request already selects rungs from calibrated costs.
-fn prime_ladder(service: &BenchService<'_>, costs: &[u64]) {
+fn prime_ladder<C: Corpus>(service: &Service<'_, C>, costs: &[u64]) {
     for (rung, &cost) in costs.iter().enumerate() {
         service.record_ladder_cost(rung, cost);
     }
@@ -358,8 +251,8 @@ fn bump(mix: &mut [u64], idx: usize) {
 /// schedule, so the *average* offered rate holds even when inter-arrival
 /// gaps undershoot the OS timer resolution.
 #[allow(clippy::too_many_arguments)]
-fn run_one_level(
-    service: &BenchService<'_>,
+fn run_one_level<C: Corpus>(
+    service: &Service<'_, C>,
     clock: &MonotonicClock,
     workload: &[(String, Vec<ArticleId>)],
     opts: &LoadBenchOptions,
@@ -543,19 +436,59 @@ fn summarize(
 }
 
 /// Runs the whole sweep: calibrate, derive the level rates, then run
-/// every level unprotected and protected.
+/// every level unprotected and protected. Every service shares the
+/// bench's clock so arrival stamps and deadlines live in the same
+/// timebase as the controller's decisions.
 pub fn run_load_bench(
     ctx: &ExperimentContext,
     context_name: &str,
     opts: &LoadBenchOptions,
 ) -> LoadBenchReport {
+    let clock = Arc::new(MonotonicClock::new());
+    let serve_cfg = |admission| ServeConfig {
+        workers: opts.workers,
+        cache_capacity: opts.cache_capacity,
+        admission,
+        ..ServeConfig::default()
+    };
+    let ds = ctx.bed.dataset("imageclef");
+    if opts.shards > 1 {
+        sweep(ctx, context_name, opts, &clock, |admission| {
+            let clock = Arc::clone(&clock) as Arc<dyn Clock>;
+            ctx.sharded_service(ds.collection, opts.shards, serve_cfg(admission), clock)
+        })
+    } else {
+        let index = ctx
+            .indexes
+            .get(ds.collection)
+            .expect("invariant: every dataset's collection is indexed");
+        sweep(ctx, context_name, opts, &clock, |admission| {
+            QueryService::with_clock(
+                &ctx.bed.kb.graph,
+                index,
+                ctx.sqe_config,
+                serve_cfg(admission),
+                Arc::clone(&clock) as Arc<dyn Clock>,
+            )
+        })
+    }
+}
+
+/// [`run_load_bench`] over the services `build` makes for one
+/// admission configuration.
+fn sweep<'a, C: Corpus>(
+    ctx: &ExperimentContext,
+    context_name: &str,
+    opts: &LoadBenchOptions,
+    clock: &MonotonicClock,
+    build: impl Fn(AdmissionConfig) -> Service<'a, C>,
+) -> LoadBenchReport {
     let dataset = "imageclef";
     let workload = build_workload(ctx, dataset, opts.variants);
-    let clock = Arc::new(MonotonicClock::new());
 
     // The unprotected service doubles as the calibration target; the
     // calibration pass warms its cache exactly like a cold+warm replay.
-    let unprotected = build_service(ctx, opts, AdmissionConfig::unlimited(), &clock);
+    let unprotected = build(AdmissionConfig::unlimited());
     let costs = calibrate(&unprotected, &workload);
     let cal_snap = unprotected.metrics_snapshot();
     let mean_full_nanos = cal_snap
@@ -580,7 +513,7 @@ pub fn run_load_bench(
         codel_interval_nanos: costs.first().copied().unwrap_or(1_000_000).saturating_mul(4),
         default_deadline_nanos: 0,
     };
-    let protected = build_service(ctx, opts, admission, &clock);
+    let protected = build(admission);
     // Warm the protected service's cache the same way so the two modes
     // differ only in policy, then restart its metrics from calibration.
     let _ = calibrate(&protected, &workload);
@@ -602,7 +535,7 @@ pub fn run_load_bench(
             prime_ladder(svc, &costs);
             let (obs, run_start) = run_one_level(
                 svc,
-                &clock,
+                clock,
                 &workload,
                 opts,
                 rate_qps,

@@ -2,12 +2,12 @@
 //! service.
 //!
 //! Replays every dataset's full query set (optionally repeated) through
-//! [`QueryService::run_batch_sqe_c`] — the paper's headline SQE_C
+//! [`Service::run_batch_sqe_c`] — the paper's headline SQE_C
 //! configuration, which exercises all four timed stages — at several
 //! worker counts, in two phases per service:
 //!
 //! * **cold**: a fresh service, empty expansion cache;
-//! * **warm**: the same service replayed after [`QueryService::reset_metrics`],
+//! * **warm**: the same service replayed after [`Service::reset_metrics`],
 //!   so the cache is fully populated but the latency histograms and cache
 //!   counters contain only warm traffic.
 //!
@@ -22,9 +22,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kbgraph::ArticleId;
-use searchlite::{Analyzer, ShardRouter};
 use serde::Serialize;
-use sqe::{MetricsSnapshot, MonotonicClock, QueryService, ServeConfig, ShardedService, STAGE_NAMES};
+use sqe::{
+    Corpus, MetricsSnapshot, MonotonicClock, QueryService, ServeConfig, Service, STAGE_NAMES,
+};
 
 use crate::context::ExperimentContext;
 
@@ -178,59 +179,20 @@ fn phase_from_snapshot(snap: &MetricsSnapshot, wall_ms: f64, phase: &str) -> Pha
     }
 }
 
-/// Runs one replay of `load` and converts the service metrics into a
-/// [`PhaseReport`].
-fn run_phase(
-    service: &QueryService<'_>,
+/// Runs one replay of `load` from zeroed metrics (the cache keeps
+/// whatever earlier phases left in it) and converts the service metrics
+/// into a [`PhaseReport`].
+fn run_phase<C: Corpus>(
+    service: &Service<'_, C>,
     load: &[(String, Vec<ArticleId>)],
     phase: &str,
 ) -> PhaseReport {
+    service.reset_metrics();
     let start = Instant::now();
     let out = service.run_batch_sqe_c(load);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     std::hint::black_box(out.len());
     phase_from_snapshot(&service.metrics_snapshot(), wall_ms, phase)
-}
-
-/// Same replay against the scatter-gather service.
-fn run_sharded_phase(
-    service: &ShardedService<'_>,
-    load: &[(String, Vec<ArticleId>)],
-    phase: &str,
-) -> PhaseReport {
-    let start = Instant::now();
-    let out = service.run_batch_sqe_c(load);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    std::hint::black_box(out.len());
-    phase_from_snapshot(&service.metrics_snapshot(), wall_ms, phase)
-}
-
-/// Builds a sharded service over one collection of the test bed by
-/// routing every document through the ingestion path and sealing once
-/// at the end.
-fn build_sharded_service<'a>(
-    ctx: &'a ExperimentContext,
-    collection: usize,
-    shards: usize,
-    serve_cfg: ServeConfig,
-) -> ShardedService<'a> {
-    let service = ShardedService::with_clock(
-        &ctx.bed.kb.graph,
-        Analyzer::english(),
-        ShardRouter::new(shards),
-        ctx.sqe_config,
-        serve_cfg,
-        Arc::new(MonotonicClock::new()),
-    );
-    if let Some(coll) = ctx.bed.collections.get(collection) {
-        for doc in &coll.docs {
-            service
-                .add_document(&doc.id, &doc.text)
-                .expect("invariant: test-bed document ids are unique");
-        }
-    }
-    service.seal_all();
-    service
 }
 
 /// Runs the load generator over the three datasets and the configured
@@ -258,12 +220,9 @@ pub fn run_serve_bench(
                 ..ServeConfig::default()
             };
             let (cold, warm) = if opts.shards > 1 {
-                let service =
-                    build_sharded_service(ctx, ds.collection, opts.shards, serve_cfg);
-                service.reset_metrics(); // drop the ingest-phase counters
-                let cold = run_sharded_phase(&service, &load, "cold");
-                service.reset_metrics();
-                (cold, run_sharded_phase(&service, &load, "warm"))
+                let clock = Arc::new(MonotonicClock::new());
+                let service = ctx.sharded_service(ds.collection, opts.shards, serve_cfg, clock);
+                (run_phase(&service, &load, "cold"), run_phase(&service, &load, "warm"))
             } else {
                 let service = QueryService::with_clock(
                     &ctx.bed.kb.graph,
@@ -272,10 +231,8 @@ pub fn run_serve_bench(
                     serve_cfg,
                     Arc::new(MonotonicClock::new()),
                 );
-                let cold = run_phase(&service, &load, "cold");
                 // Same service: the cache stays hot, the metrics start over.
-                service.reset_metrics();
-                (cold, run_phase(&service, &load, "warm"))
+                (run_phase(&service, &load, "cold"), run_phase(&service, &load, "warm"))
             };
             cells.push(CellReport {
                 dataset: dataset.to_owned(),

@@ -27,12 +27,14 @@
 //! family into a declarative, enumerable space and [`learn`] implements
 //! the conclusion's future work: identifying the right motifs
 //! automatically from ground-truth query graphs. The [`serve`] module
-//! (with [`cache`] and [`metrics`]) wraps the pipeline in a concurrent
-//! query service — work-stealing batch execution, LRU expansion caching,
-//! live ingestion over a segmented index (documents buffer, seal into
-//! immutable segments, and publish atomically), and injected-clock
-//! latency metrics — that stays byte-identical to the sequential
-//! pipeline regardless of how the corpus is partitioned into segments.
+//! (with [`cache`] and [`metrics`]) wraps the pipeline in one concurrent
+//! query service, generic over its corpus — work-stealing batch
+//! execution, LRU expansion caching, admission control, live ingestion
+//! over a segmented index (documents buffer, seal into immutable
+//! segments, and publish atomically), and injected-clock latency
+//! metrics — that stays byte-identical to the sequential pipeline
+//! regardless of how the corpus is partitioned into segments or
+//! [`sharded`] across indexes.
 
 pub mod analysis;
 pub mod cache;
@@ -60,8 +62,8 @@ pub use motif::{Motif, MotifKind};
 pub use pattern::{CategoryCondition, LinkCondition, PatternMotif};
 pub use pipeline::{SqeConfig, SqePipeline, SqeScratch};
 pub use query_graph::{QueryGraph, QueryGraphBuilder, QueryGraphScratch};
-pub use serve::{run_indexed, QueryService, ServeConfig, ServeRequest};
-pub use sharded::ShardedService;
+pub use serve::{run_indexed, Corpus, Mono, QueryService, ServeConfig, ServeRequest, Service};
+pub use sharded::{OrdinalTableError, Sharded, ShardedService};
 pub use spec::{
     CategoryScope, MotifFingerprint, MotifLadder, MotifRung, MotifSet, MotifSpec, WeightRule,
 };

@@ -414,7 +414,7 @@ impl StageHistograms {
     }
 }
 
-/// All counters and histograms of one [`crate::serve::QueryService`].
+/// All counters and histograms of one [`crate::serve::Service`].
 #[derive(Debug)]
 pub struct ServeMetrics {
     /// Queries fully served.

@@ -11,28 +11,38 @@
 //!   previous behaviour of `rank_sqe_many` / `build_many`). Results are
 //!   written into their input slot, so output order — and therefore every
 //!   downstream run file — is independent of scheduling.
-//! * [`QueryService`] — the serving facade over [`SqePipeline`](crate::pipeline::SqePipeline): an LRU
+//! * [`Service`] — the serving facade over [`SqePipeline`](crate::pipeline::SqePipeline): an LRU
 //!   [`ExpansionCache`] keyed by the sorted query-node set + motif-set
 //!   fingerprint (motif traversal is the dominant per-query cost and is a
 //!   pure function of exactly that key), per-worker reusable scratch buffers,
-//!   and [`ServeMetrics`] recording cache traffic plus per-stage latency
-//!   through an injected [`Clock`] (no wall-clock reads in library code;
-//!   tests drive a `ManualClock`).
+//!   admission control with a degraded-mode ladder, and [`ServeMetrics`]
+//!   recording cache traffic plus per-stage latency through an injected
+//!   [`Clock`] (no wall-clock reads in library code; tests drive a
+//!   `ManualClock`).
+//!
+//! The request path is written once, generic over the [`Corpus`] behind
+//! the service: [`QueryService`] serves one segmented index ([`Mono`]),
+//! [`ShardedService`](crate::sharded::ShardedService) scatters over N
+//! shards ([`Sharded`](crate::sharded::Sharded)). Dispatch is static, so
+//! each alias compiles to exactly its own hot path.
 //!
 //! # Determinism contract
 //!
-//! For any worker count and any cache state, [`QueryService`] output is
-//! byte-identical to the sequential uncached [`SqePipeline`](crate::pipeline::SqePipeline): cached
-//! expansions are exactly the `QueryGraph::expansions` a fresh build
-//! returns (the cache key preserves query-node multiplicity), and a
-//! racing double-compute of the same key inserts the same value twice.
+//! For any worker count, any cache state and either corpus, service
+//! output is byte-identical to the sequential uncached
+//! [`SqePipeline`](crate::pipeline::SqePipeline): cached expansions are
+//! exactly the `QueryGraph::expansions` a fresh build returns (the cache
+//! key preserves query-node multiplicity), and a racing double-compute of
+//! the same key inserts the same value twice.
 //! `tests/serve_determinism.rs` enforces this end-to-end on run files.
 
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use kbgraph::{ArticleId, KbGraph};
-use searchlite::ql::{self, SearchHit};
-use searchlite::{DocId, Index, IngestError, SealReport, Searcher, SegmentedIndex};
+use searchlite::ql::{self, QlParams, QlScratch, SearchHit};
+use searchlite::{
+    Analyzer, DocId, Index, IngestError, Query, SealReport, Searcher, SegmentedIndex,
+};
 use sqe_admission::{
     select_rung, AdmissionConfig, AdmissionController, Deadline, RungId, ServeOutcome, ShedReason,
     Stage, Ticket,
@@ -113,7 +123,7 @@ where
         .collect()
 }
 
-/// Configuration of a [`QueryService`].
+/// Configuration of a [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads for batch entry points (1 = in-caller sequential).
@@ -143,7 +153,7 @@ impl Default for ServeConfig {
 }
 
 /// One request to the admission-controlled batch entry point
-/// ([`QueryService::serve_batch`]): the query text, its linked KB
+/// ([`Service::serve_batch`]): the query text, its linked KB
 /// nodes, and an absolute completion deadline (use [`Deadline::NONE`]
 /// for best-effort requests).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,9 +166,64 @@ pub struct ServeRequest {
     pub deadline: Deadline,
 }
 
+/// The documents behind a [`Service`]: how a request pins, ranks
+/// against, and maps ids out of them. Everything else on the request
+/// path — expansion cache, admission, ladder, metrics — is the same for
+/// every corpus and lives in the shared `impl<C: Corpus> Service`.
+pub trait Corpus: Sync {
+    /// An immutable view pinned at request entry. A seal publishes a new
+    /// view; a pinned one never changes, so a concurrent seal cannot
+    /// tear a query or a batch.
+    type View: Sync;
+
+    /// Pins the currently published view (cheap: `Arc` clones).
+    fn pin(&self) -> Self::View;
+
+    /// The analyzer queries against `view` are built with.
+    fn analyzer(view: &Self::View) -> &Analyzer;
+
+    /// QL top-`k` of `query` against `view`.
+    fn rank(
+        view: &Self::View,
+        query: &Query,
+        params: QlParams,
+        k: usize,
+        scratch: &mut QlScratch,
+    ) -> Vec<SearchHit>;
+
+    /// External ids of hits that [`Corpus::rank`] returned for `view`.
+    fn external_ids(view: &Self::View, hits: &[SearchHit]) -> Vec<String>;
+
+    /// Scalar segment-set epoch of the published view(s), monotone under
+    /// every seal and merge.
+    fn epoch(&self) -> u64;
+
+    /// Every searcher behind `view` (the constructor's debug audits walk
+    /// their segments).
+    fn searchers(view: &Self::View) -> Vec<&Searcher>;
+}
+
 /// The concurrent SQE query service: [`SqePipeline`](crate::pipeline::SqePipeline) semantics behind an
-/// expansion cache, a work-stealing batch executor, live ingestion, and
-/// latency metrics.
+/// expansion cache, a work-stealing batch executor, admission control
+/// with a degraded-mode ladder, and latency metrics, over any
+/// [`Corpus`]. Use it through [`QueryService`] (one segmented index) or
+/// [`ShardedService`](crate::sharded::ShardedService) (N shards).
+pub struct Service<'a, C: Corpus> {
+    graph: &'a KbGraph,
+    pub(crate) cfg: SqeConfig,
+    serve_cfg: ServeConfig,
+    pub(crate) corpus: C,
+    cache: ExpansionCache,
+    pub(crate) metrics: ServeMetrics,
+    pub(crate) clock: Arc<dyn Clock>,
+    /// Gatekeeper for the deadline-aware `serve*` entry points. Holds no
+    /// clock of its own: every decision takes this service's clock
+    /// reading as a parameter, keeping the whole path deterministic
+    /// under a `ManualClock`.
+    admission: AdmissionController,
+}
+
+/// The single-index service.
 ///
 /// # Live ingestion
 ///
@@ -170,10 +235,11 @@ pub struct ServeRequest {
 /// **exactly once** — auto-merges triggered by the seal ride the same
 /// epoch bump. Queries already in flight keep the view they started
 /// with (a cheap `Arc` clone), so a seal never tears a batch.
-pub struct QueryService<'a> {
-    graph: &'a KbGraph,
-    cfg: SqeConfig,
-    serve_cfg: ServeConfig,
+pub type QueryService<'a> = Service<'a, Mono>;
+
+/// The corpus of a [`QueryService`]: one [`SegmentedIndex`] and its
+/// published [`Searcher`] view.
+pub struct Mono {
     /// Serializes maintenance (seal / force-merge) so expensive segment
     /// builds never race each other, while `live` stays free for
     /// ingestion. Lock order: `maint` → `live` → `view`, always.
@@ -184,99 +250,14 @@ pub struct QueryService<'a> {
     live: Mutex<SegmentedIndex>,
     /// The published immutable view queries read (swapped on seal/merge).
     view: RwLock<Searcher>,
-    cache: ExpansionCache,
-    metrics: ServeMetrics,
-    clock: Arc<dyn Clock>,
-    /// Gatekeeper for the deadline-aware `serve*` entry points. Holds no
-    /// clock of its own: every decision takes this service's clock
-    /// reading as a parameter, keeping the whole path deterministic
-    /// under a `ManualClock`.
-    admission: AdmissionController,
 }
 
-impl<'a> QueryService<'a> {
-    /// Creates a service with the no-op [`NullClock`] (counters work,
-    /// latency histograms record zeros). The index is cloned in as
-    /// segment 0 of the live corpus.
-    pub fn new(graph: &'a KbGraph, index: &Index, cfg: SqeConfig, serve_cfg: ServeConfig) -> Self {
-        QueryService::with_clock(graph, index, cfg, serve_cfg, Arc::new(NullClock))
-    }
-
-    /// Creates a service over a loaded binary snapshot — the cold-start
-    /// path a restarting deployment takes. The snapshot's segments are
-    /// adopted as-is (no merge, no re-analysis); the snapshot was fully
-    /// verified and audited at decode time.
-    pub fn from_snapshot(
-        snapshot: &'a sqe_store::Snapshot,
-        collection: &str,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-    ) -> Result<Self, sqe_store::StoreError> {
-        let searcher = snapshot.searcher(collection)?;
-        let live =
-            SegmentedIndex::from_segments(searcher.analyzer().clone(), searcher.segments().to_vec());
-        Ok(QueryService::from_segmented(snapshot.graph(), live, cfg, serve_cfg))
-    }
-
-    /// Creates a service with an injected clock — a `MonotonicClock` in
-    /// the bench harness, a `ManualClock` in tests.
-    pub fn with_clock(
-        graph: &'a KbGraph,
-        index: &Index,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        QueryService::from_segmented_with_clock(
-            graph,
-            SegmentedIndex::from_index(index.clone()),
-            cfg,
-            serve_cfg,
-            clock,
-        )
-    }
-
-    /// Creates a service over an existing segmented corpus (buffered
-    /// documents stay buffered until the first [`QueryService::seal`]).
-    pub fn from_segmented(
-        graph: &'a KbGraph,
-        live: SegmentedIndex,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-    ) -> Self {
-        QueryService::from_segmented_with_clock(graph, live, cfg, serve_cfg, Arc::new(NullClock))
-    }
-
-    /// [`QueryService::from_segmented`] with an injected clock.
-    pub fn from_segmented_with_clock(
-        graph: &'a KbGraph,
-        live: SegmentedIndex,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        let view = live.searcher();
-        #[cfg(all(debug_assertions, feature = "validate"))]
-        {
-            kbgraph::audit::GraphAudit::run(graph).assert_clean("QueryService");
-            for seg in view.segments() {
-                searchlite::audit::IndexAudit::run(seg.index()).assert_clean("QueryService");
-            }
-        }
-        let cache = ExpansionCache::new(serve_cfg.cache_capacity);
-        let metrics = ServeMetrics::new(serve_cfg.ladder.len());
-        let admission = AdmissionController::new(serve_cfg.admission);
-        QueryService {
-            graph,
-            cfg,
-            serve_cfg,
+impl Mono {
+    fn new(live: SegmentedIndex) -> Mono {
+        Mono {
             maint: Mutex::new(()),
+            view: RwLock::new(live.searcher()),
             live: Mutex::new(live),
-            view: RwLock::new(view),
-            cache,
-            metrics,
-            clock,
-            admission,
         }
     }
 
@@ -309,24 +290,229 @@ impl<'a> QueryService<'a> {
         }
     }
 
-    /// Swaps in a freshly published searcher. Invalidates the expansion
-    /// cache exactly once per epoch advance: republishing the same epoch
-    /// (or an older one) leaves the cache warm.
-    fn publish(&self, searcher: Searcher) {
-        let advanced = {
-            let mut view = match self.view.write() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let advanced = searcher.epoch() > view.epoch();
-            if advanced || searcher.epoch() == view.epoch() {
-                *view = searcher;
-            }
-            advanced
+    /// Swaps in a freshly published searcher; true when the epoch
+    /// advanced (the caller then invalidates the expansion cache, exactly
+    /// once). Republishing the same epoch (or an older one) returns false.
+    fn publish(&self, searcher: Searcher) -> bool {
+        let mut view = match self.view.write() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
         };
-        if advanced {
-            self.cache.invalidate();
-            self.metrics.invalidations.inc();
+        let advanced = searcher.epoch() > view.epoch();
+        if advanced || searcher.epoch() == view.epoch() {
+            *view = searcher;
+        }
+        advanced
+    }
+}
+
+impl Corpus for Mono {
+    type View = Searcher;
+
+    fn pin(&self) -> Searcher {
+        self.view_read().clone()
+    }
+
+    fn analyzer(view: &Searcher) -> &Analyzer {
+        view.analyzer()
+    }
+
+    fn rank(
+        view: &Searcher,
+        query: &Query,
+        params: QlParams,
+        k: usize,
+        scratch: &mut QlScratch,
+    ) -> Vec<SearchHit> {
+        ql::rank_with_scratch(view, query, params, k, scratch)
+    }
+
+    fn external_ids(view: &Searcher, hits: &[SearchHit]) -> Vec<String> {
+        hits.iter()
+            .map(|h| view.external_id(h.doc).to_owned())
+            .collect()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.view_read().epoch()
+    }
+
+    fn searchers(view: &Searcher) -> Vec<&Searcher> {
+        vec![view]
+    }
+}
+
+impl<'a> Service<'a, Mono> {
+    /// Creates a service with the no-op [`NullClock`] (counters work,
+    /// latency histograms record zeros). The index is cloned in as
+    /// segment 0 of the live corpus.
+    pub fn new(graph: &'a KbGraph, index: &Index, cfg: SqeConfig, serve_cfg: ServeConfig) -> Self {
+        QueryService::with_clock(graph, index, cfg, serve_cfg, Arc::new(NullClock))
+    }
+
+    /// Creates a service over a loaded binary snapshot — the cold-start
+    /// path a restarting deployment takes. The snapshot's segments are
+    /// adopted as-is (no merge, no re-analysis); the snapshot was fully
+    /// verified and audited at decode time.
+    pub fn from_snapshot(
+        snapshot: &'a sqe_store::Snapshot,
+        collection: &str,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+    ) -> Result<Self, sqe_store::StoreError> {
+        let searcher = snapshot.searcher(collection)?;
+        let live =
+            SegmentedIndex::from_segments(searcher.analyzer().clone(), searcher.segments().to_vec());
+        Ok(QueryService::from_segmented(snapshot.graph(), live, cfg, serve_cfg))
+    }
+
+    /// Creates a service with an injected clock — a `MonotonicClock` in
+    /// the bench harness, a `ManualClock` in tests.
+    pub fn with_clock(
+        graph: &'a KbGraph,
+        index: &Index,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        let live = SegmentedIndex::from_index(index.clone());
+        Service::assemble(graph, Mono::new(live), cfg, serve_cfg, clock)
+    }
+
+    /// Creates a service over an existing segmented corpus (buffered
+    /// documents stay buffered until the first [`QueryService::seal`]).
+    pub fn from_segmented(
+        graph: &'a KbGraph,
+        live: SegmentedIndex,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+    ) -> Self {
+        Service::assemble(graph, Mono::new(live), cfg, serve_cfg, Arc::new(NullClock))
+    }
+
+    /// A clone of the currently published searcher view (cheap: one
+    /// `Arc`). Queries served through it are stable across later seals.
+    pub fn searcher(&self) -> Searcher {
+        self.corpus.pin()
+    }
+
+    /// Sealed segments visible to queries.
+    pub fn num_segments(&self) -> usize {
+        self.corpus.view_read().num_segments()
+    }
+
+    /// Documents waiting in the ingest buffer (invisible until sealed).
+    pub fn num_buffered_docs(&self) -> usize {
+        self.corpus.live_lock().num_buffered_docs()
+    }
+
+    // ------------------------------------------------------- ingestion --
+
+    /// Adds a document to the live ingest buffer; it becomes searchable
+    /// at the next [`QueryService::seal`]. Duplicate external ids are
+    /// rejected against the whole corpus, sealed and buffered alike.
+    pub fn add_document(&self, external_id: &str, text: &str) -> Result<DocId, IngestError> {
+        self.timed_ingest(|corpus| corpus.live_lock().add_document(external_id, text))
+    }
+
+    /// Seals the ingest buffer into a new immutable segment, runs the
+    /// merge policy, and publishes the refreshed view. Returns `None`
+    /// (and changes nothing) when the buffer is empty. The expansion
+    /// cache is invalidated exactly once per successful seal.
+    ///
+    /// The expensive work — building the segment, running policy merges —
+    /// happens on state detached from the `live` mutex, so concurrent
+    /// `add_document` calls and queries never block behind it. Only the
+    /// cheap begin/commit/install phases take the lock; `maint`
+    /// serializes whole maintenance ops against each other, so the merge
+    /// outcome is never stale.
+    pub fn seal(&self) -> Option<SealReport> {
+        let t0 = self.clock.now_nanos();
+        let _maint = self.corpus.maint_lock();
+        let pending = self.corpus.live_lock().begin_seal()?;
+        // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
+        let built = pending.build();
+        let (mut report, task) = {
+            let mut live = self.corpus.live_lock();
+            let report = live.commit_seal(built);
+            (report, live.merge_task())
+        };
+        let outcome = task.run_policy();
+        let searcher = {
+            let mut live = self.corpus.live_lock();
+            if let Some(merges) = live.install_merge(outcome) {
+                report.merges = merges;
+            }
+            live.searcher()
+        };
+        if self.corpus.publish(searcher) {
+            self.invalidate_cache();
+        }
+        self.record_seal(t0, &report);
+        Some(report)
+    }
+
+    /// Compacts every sealed segment into one and publishes the merged
+    /// view. Returns `false` (a no-op) with fewer than two segments.
+    /// Like [`QueryService::seal`], the merge itself runs on a detached
+    /// snapshot under `maint` only — the `live` mutex is held just to
+    /// snapshot and to install the result.
+    pub fn force_merge(&self) -> bool {
+        let t0 = self.clock.now_nanos();
+        let _maint = self.corpus.maint_lock();
+        let task = self.corpus.live_lock().merge_task();
+        let Some(outcome) = task.run_full() else {
+            return false;
+        };
+        let searcher = {
+            let mut live = self.corpus.live_lock();
+            if live.install_merge(outcome).is_none() {
+                // Unreachable while `maint` serializes maintenance, but a
+                // stale outcome must never clobber a newer segment set.
+                return false;
+            }
+            live.searcher()
+        };
+        if self.corpus.publish(searcher) {
+            self.invalidate_cache();
+        }
+        self.metrics.merges.inc();
+        let t1 = self.clock.now_nanos();
+        self.metrics.ingest.merge.record(t1.saturating_sub(t0));
+        true
+    }
+}
+
+impl<'a, C: Corpus> Service<'a, C> {
+    /// The one constructor every public constructor ends in: the cache,
+    /// metrics and admission controller come from `serve_cfg`, and debug
+    /// builds audit the graph and every segment of the corpus once.
+    pub(crate) fn assemble(
+        graph: &'a KbGraph,
+        corpus: C,
+        cfg: SqeConfig,
+        serve_cfg: ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Self {
+        #[cfg(all(debug_assertions, feature = "validate"))]
+        {
+            kbgraph::audit::GraphAudit::run(graph).assert_clean("Service");
+            let view = corpus.pin();
+            for searcher in C::searchers(&view) {
+                for seg in searcher.segments() {
+                    searchlite::audit::IndexAudit::run(seg.index()).assert_clean("Service");
+                }
+            }
+        }
+        Service {
+            graph,
+            cfg,
+            cache: ExpansionCache::new(serve_cfg.cache_capacity),
+            metrics: ServeMetrics::new(serve_cfg.ladder.len()),
+            admission: AdmissionController::new(serve_cfg.admission),
+            serve_cfg,
+            corpus,
+            clock,
         }
     }
 
@@ -345,116 +531,16 @@ impl<'a> QueryService<'a> {
         &self.serve_cfg
     }
 
-    /// A clone of the currently published searcher view (cheap: one
-    /// `Arc`). Queries served through it are stable across later seals.
-    pub fn searcher(&self) -> Searcher {
-        self.view_read().clone()
-    }
-
-    /// The segment-set epoch of the published view.
+    /// The scalar segment-set epoch of the published view(s); for a
+    /// sharded corpus, the sum of the epoch vector.
     pub fn epoch(&self) -> u64 {
-        self.view_read().epoch()
-    }
-
-    /// Sealed segments visible to queries.
-    pub fn num_segments(&self) -> usize {
-        self.view_read().num_segments()
-    }
-
-    /// Documents waiting in the ingest buffer (invisible until sealed).
-    pub fn num_buffered_docs(&self) -> usize {
-        self.live_lock().num_buffered_docs()
-    }
-
-    // ------------------------------------------------------- ingestion --
-
-    /// Adds a document to the live ingest buffer; it becomes searchable
-    /// at the next [`QueryService::seal`]. Duplicate external ids are
-    /// rejected against the whole corpus, sealed and buffered alike.
-    pub fn add_document(&self, external_id: &str, text: &str) -> Result<DocId, IngestError> {
-        let t0 = self.clock.now_nanos();
-        let result = self.live_lock().add_document(external_id, text);
-        if result.is_ok() {
-            let t1 = self.clock.now_nanos();
-            self.metrics.docs_ingested.inc();
-            self.metrics.ingest.add.record(t1.saturating_sub(t0));
-        }
-        result
-    }
-
-    /// Seals the ingest buffer into a new immutable segment, runs the
-    /// merge policy, and publishes the refreshed view. Returns `None`
-    /// (and changes nothing) when the buffer is empty. The expansion
-    /// cache is invalidated exactly once per successful seal.
-    ///
-    /// The expensive work — building the segment, running policy merges —
-    /// happens on state detached from the `live` mutex, so concurrent
-    /// `add_document` calls and queries never block behind it. Only the
-    /// cheap begin/commit/install phases take the lock; `maint`
-    /// serializes whole maintenance ops against each other, so the merge
-    /// outcome is never stale.
-    pub fn seal(&self) -> Option<SealReport> {
-        let t0 = self.clock.now_nanos();
-        let _maint = self.maint_lock();
-        let pending = self.live_lock().begin_seal()?;
-        // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
-        let built = pending.build();
-        let (mut report, task) = {
-            let mut live = self.live_lock();
-            let report = live.commit_seal(built);
-            (report, live.merge_task())
-        };
-        let outcome = task.run_policy();
-        let searcher = {
-            let mut live = self.live_lock();
-            if let Some(merges) = live.install_merge(outcome) {
-                report.merges = merges;
-            }
-            live.searcher()
-        };
-        self.publish(searcher);
-        self.metrics.seals.inc();
-        self.metrics
-            .merges
-            .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
-        Some(report)
-    }
-
-    /// Compacts every sealed segment into one and publishes the merged
-    /// view. Returns `false` (a no-op) with fewer than two segments.
-    /// Like [`QueryService::seal`], the merge itself runs on a detached
-    /// snapshot under `maint` only — the `live` mutex is held just to
-    /// snapshot and to install the result.
-    pub fn force_merge(&self) -> bool {
-        let t0 = self.clock.now_nanos();
-        let _maint = self.maint_lock();
-        let task = self.live_lock().merge_task();
-        let Some(outcome) = task.run_full() else {
-            return false;
-        };
-        let searcher = {
-            let mut live = self.live_lock();
-            if live.install_merge(outcome).is_none() {
-                // Unreachable while `maint` serializes maintenance, but a
-                // stale outcome must never clobber a newer segment set.
-                return false;
-            }
-            live.searcher()
-        };
-        self.publish(searcher);
-        self.metrics.merges.inc();
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.merge.record(t1.saturating_sub(t0));
-        true
+        self.corpus.epoch()
     }
 
     /// Converts hits to external document ids (against the currently
     /// published view).
     pub fn external_ids(&self, hits: &[SearchHit]) -> Vec<String> {
-        let view = self.view_read();
-        ids_of(&view, hits)
+        C::external_ids(&self.corpus.pin(), hits)
     }
 
     /// Bumps the cache generation: every cached expansion becomes stale.
@@ -482,6 +568,31 @@ impl<'a> QueryService<'a> {
         self.metrics.reset();
     }
 
+    /// Runs one ingest call, timing it and counting it when it succeeds.
+    pub(crate) fn timed_ingest(
+        &self,
+        add: impl FnOnce(&C) -> Result<DocId, IngestError>,
+    ) -> Result<DocId, IngestError> {
+        let t0 = self.clock.now_nanos();
+        let result = add(&self.corpus);
+        if result.is_ok() {
+            let t1 = self.clock.now_nanos();
+            self.metrics.docs_ingested.inc();
+            self.metrics.ingest.add.record(t1.saturating_sub(t0));
+        }
+        result
+    }
+
+    /// Records one completed seal that started at clock reading `t0`.
+    pub(crate) fn record_seal(&self, t0: u64, report: &SealReport) {
+        self.metrics.seals.inc();
+        self.metrics
+            .merges
+            .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
+        let t1 = self.clock.now_nanos();
+        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
+    }
+
     /// The expansion features for one query under one motif set:
     /// cache hit, or a fresh motif traversal that seeds the cache. Two
     /// workers racing on the same cold key both compute the same value,
@@ -507,52 +618,73 @@ impl<'a> QueryService<'a> {
 
     /// Expand + rank for one motif set, recording the two stage
     /// histograms but not the per-query totals (SQE_C runs this three
-    /// times per query). `searcher` is the view pinned at query entry,
-    /// so a concurrent seal cannot change the corpus mid-query.
+    /// times per query). `view` is pinned at query entry, so a
+    /// concurrent seal cannot change the corpus mid-query.
     fn stage_run(
         &self,
-        searcher: &Searcher,
+        view: &C::View,
         text: &str,
         nodes: &[ArticleId],
         motifs: &MotifSet,
         scratch: &mut SqeScratch,
     ) -> Vec<SearchHit> {
+        // An unbounded deadline never expires, so this is always `Ok`.
+        self.stage_run_deadline(view, text, nodes, motifs, Deadline::NONE, scratch)
+            .unwrap_or_default()
+    }
+
+    /// [`Service::stage_run`] with a deadline check between the expand
+    /// and rank stages: when expansion alone blows the deadline, ranking
+    /// is skipped entirely.
+    fn stage_run_deadline(
+        &self,
+        view: &C::View,
+        text: &str,
+        nodes: &[ArticleId],
+        motifs: &MotifSet,
+        deadline: Deadline,
+        scratch: &mut SqeScratch,
+    ) -> Result<Vec<SearchHit>, Stage> {
         let cfg = &self.cfg;
         let t0 = self.clock.now_nanos();
         let expansions = self.expansions_for(nodes, motifs, scratch);
         let t1 = self.clock.now_nanos();
+        self.metrics.stages.expand.record(t1.saturating_sub(t0));
+        if deadline.expired(t1) {
+            return Err(Stage::Expand);
+        }
         let query = expand::build_query(
             self.graph,
             text,
             nodes,
             &expansions,
-            searcher.analyzer(),
+            C::analyzer(view),
             &cfg.expand,
         );
-        let hits = ql::rank_with_scratch(searcher, &query, cfg.ql, cfg.depth, &mut scratch.ql);
+        let hits = C::rank(view, &query, cfg.ql, cfg.depth, &mut scratch.ql);
         let t2 = self.clock.now_nanos();
-        self.metrics.stages.expand.record(t1.saturating_sub(t0));
         self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        hits
+        Ok(hits)
     }
 
     /// Retrieval with an arbitrary [`MotifSet`] through the cache;
-    /// identical output to [`crate::pipeline::SqePipeline::rank_sqe`].
+    /// identical output to [`crate::pipeline::SqePipeline::rank_sqe`]
+    /// (for a sharded corpus, hit ids are global ingest ordinals — the
+    /// ids a monolithic build assigns).
     pub fn rank_sqe(&self, text: &str, nodes: &[ArticleId], motifs: &MotifSet) -> Vec<SearchHit> {
-        let searcher = self.searcher();
-        self.rank_sqe_with_scratch(&searcher, text, nodes, motifs, &mut SqeScratch::new())
+        self.rank_sqe_with_scratch(&self.corpus.pin(), text, nodes, motifs, &mut SqeScratch::new())
     }
 
     fn rank_sqe_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &C::View,
         text: &str,
         nodes: &[ArticleId],
         motifs: &MotifSet,
         scratch: &mut SqeScratch,
     ) -> Vec<SearchHit> {
         let t0 = self.clock.now_nanos();
-        let hits = self.stage_run(searcher, text, nodes, motifs, scratch);
+        let hits = self.stage_run(view, text, nodes, motifs, scratch);
         let t1 = self.clock.now_nanos();
         self.metrics.stages.total.record(t1.saturating_sub(t0));
         self.metrics.queries.inc();
@@ -560,28 +692,27 @@ impl<'a> QueryService<'a> {
     }
 
     /// `SQE_C` rank-range combination through the cache; identical output
-    /// to [`SqePipeline::rank_sqe_c`].
+    /// to [`SqePipeline::rank_sqe_c`](crate::pipeline::SqePipeline::rank_sqe_c).
     pub fn rank_sqe_c(&self, text: &str, nodes: &[ArticleId]) -> Vec<String> {
-        let searcher = self.searcher();
-        self.rank_sqe_c_with_scratch(&searcher, text, nodes, &mut SqeScratch::new())
+        self.rank_sqe_c_with_scratch(&self.corpus.pin(), text, nodes, &mut SqeScratch::new())
     }
 
     fn rank_sqe_c_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &C::View,
         text: &str,
         nodes: &[ArticleId],
         scratch: &mut SqeScratch,
     ) -> Vec<String> {
         let t0 = self.clock.now_nanos();
-        let t = self.stage_run(searcher, text, nodes, &MotifSet::triangular(), scratch);
-        let ts = self.stage_run(searcher, text, nodes, &MotifSet::t_and_s(), scratch);
-        let s = self.stage_run(searcher, text, nodes, &MotifSet::square(), scratch);
+        let t = self.stage_run(view, text, nodes, &MotifSet::triangular(), scratch);
+        let ts = self.stage_run(view, text, nodes, &MotifSet::t_and_s(), scratch);
+        let s = self.stage_run(view, text, nodes, &MotifSet::square(), scratch);
         let c0 = self.clock.now_nanos();
         let ids = combine::sqe_c(
-            &ids_of(searcher, &t),
-            &ids_of(searcher, &ts),
-            &ids_of(searcher, &s),
+            &C::external_ids(view, &t),
+            &C::external_ids(view, &ts),
+            &C::external_ids(view, &s),
             self.cfg.depth,
         );
         let c1 = self.clock.now_nanos();
@@ -600,27 +731,25 @@ impl<'a> QueryService<'a> {
         queries: &[(String, Vec<ArticleId>)],
         motifs: &MotifSet,
     ) -> Vec<Vec<SearchHit>> {
-        let searcher = self.searcher();
+        let view = self.corpus.pin();
         run_indexed(
             queries,
             self.serve_cfg.workers,
             SqeScratch::new,
-            |(text, nodes), scratch| {
-                self.rank_sqe_with_scratch(&searcher, text, nodes, motifs, scratch)
-            },
+            |(text, nodes), scratch| self.rank_sqe_with_scratch(&view, text, nodes, motifs, scratch),
         )
     }
 
     /// Batch `SQE_C` retrieval over the configured worker pool; results
     /// keep input order (same pinned-view guarantee as
-    /// [`QueryService::run_batch`]).
+    /// [`Service::run_batch`]).
     pub fn run_batch_sqe_c(&self, queries: &[(String, Vec<ArticleId>)]) -> Vec<Vec<String>> {
-        let searcher = self.searcher();
+        let view = self.corpus.pin();
         run_indexed(
             queries,
             self.serve_cfg.workers,
             SqeScratch::new,
-            |(text, nodes), scratch| self.rank_sqe_c_with_scratch(&searcher, text, nodes, scratch),
+            |(text, nodes), scratch| self.rank_sqe_c_with_scratch(&view, text, nodes, scratch),
         )
     }
 
@@ -675,20 +804,13 @@ impl<'a> QueryService<'a> {
         nodes: &[ArticleId],
         deadline: Deadline,
     ) -> ServeOutcome<Vec<SearchHit>> {
-        let searcher = self.searcher();
-        self.serve_admitted_with_scratch(
-            &searcher,
-            ticket,
-            text,
-            nodes,
-            deadline,
-            &mut SqeScratch::new(),
-        )
+        let view = self.corpus.pin();
+        self.serve_admitted_with_scratch(&view, ticket, text, nodes, deadline, &mut SqeScratch::new())
     }
 
     fn serve_admitted_with_scratch(
         &self,
-        searcher: &Searcher,
+        view: &C::View,
         ticket: Ticket,
         text: &str,
         nodes: &[ArticleId],
@@ -709,15 +831,15 @@ impl<'a> QueryService<'a> {
             self.metrics.sheds.inc();
             return ServeOutcome::Shed(ShedReason::BudgetExhausted);
         };
-        self.run_rung(searcher, rung, text, nodes, deadline, scratch)
+        self.run_rung(view, rung, text, nodes, deadline, scratch)
     }
 
     /// Runs one request at a forced ladder rung with no admission and no
     /// deadline — the calibration entry benchmarks use to measure (and
     /// prime, via the recorded cost histogram) per-rung costs.
     pub fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
-        let searcher = self.searcher();
-        self.run_rung(&searcher, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
+        let view = self.corpus.pin();
+        self.run_rung(&view, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
             .into_value()
             .unwrap_or_default()
     }
@@ -728,7 +850,7 @@ impl<'a> QueryService<'a> {
     /// estimator needs to stop selecting that rung.
     fn run_rung(
         &self,
-        searcher: &Searcher,
+        view: &C::View,
         rung: usize,
         text: &str,
         nodes: &[ArticleId],
@@ -742,15 +864,12 @@ impl<'a> QueryService<'a> {
             .expect("invariant: rung index is within the configured ladder");
         let t0 = self.clock.now_nanos();
         let staged = match rung_def.motifs() {
-            Some(motifs) => {
-                self.stage_run_deadline(searcher, text, nodes, motifs, deadline, scratch)
-            }
+            Some(motifs) => self.stage_run_deadline(view, text, nodes, motifs, deadline, scratch),
             None => {
                 // No expansion: rank the user part of the query directly
                 // (the paper's unexpanded QL baseline).
-                let query = expand::user_part(text, searcher.analyzer());
-                let hits =
-                    ql::rank_with_scratch(searcher, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
+                let query = expand::user_part(text, C::analyzer(view));
+                let hits = C::rank(view, &query, self.cfg.ql, self.cfg.depth, &mut scratch.ql);
                 let t1 = self.clock.now_nanos();
                 self.metrics.stages.rank.record(t1.saturating_sub(t0));
                 Ok(hits)
@@ -782,51 +901,17 @@ impl<'a> QueryService<'a> {
         }
     }
 
-    /// [`QueryService::stage_run`] with a deadline check between the
-    /// expand and rank stages: when expansion alone blows the deadline,
-    /// ranking is skipped entirely.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_run_deadline(
-        &self,
-        searcher: &Searcher,
-        text: &str,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        deadline: Deadline,
-        scratch: &mut SqeScratch,
-    ) -> Result<Vec<SearchHit>, Stage> {
-        let cfg = &self.cfg;
-        let t0 = self.clock.now_nanos();
-        let expansions = self.expansions_for(nodes, motifs, scratch);
-        let t1 = self.clock.now_nanos();
-        self.metrics.stages.expand.record(t1.saturating_sub(t0));
-        if deadline.expired(t1) {
-            return Err(Stage::Expand);
-        }
-        let query = expand::build_query(
-            self.graph,
-            text,
-            nodes,
-            &expansions,
-            searcher.analyzer(),
-            &cfg.expand,
-        );
-        let hits = ql::rank_with_scratch(searcher, &query, cfg.ql, cfg.depth, &mut scratch.ql);
-        let t2 = self.clock.now_nanos();
-        self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        Ok(hits)
-    }
-
     /// Admission-controlled batch serving. Admission decisions are taken
     /// in a **sequential pre-pass in input order on the caller's
     /// thread**: queue-bound and token-bucket state evolve with arrival
     /// order alone, never with worker scheduling, so for a fixed clock
     /// schedule the outcome sequence is byte-identical at any worker
-    /// count (the determinism wall in `tests/serve_determinism.rs`
-    /// enforces this). Execution then fans out over the worker pool into
-    /// order-preserving slots, same as [`QueryService::run_batch`].
+    /// count and any shard count (the determinism wall in
+    /// `tests/serve_determinism.rs` enforces this). Execution then fans
+    /// out over the worker pool into order-preserving slots, same as
+    /// [`Service::run_batch`].
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> Vec<ServeOutcome<Vec<SearchHit>>> {
-        let searcher = self.searcher();
+        let view = self.corpus.pin();
         let plans: Vec<(usize, Result<Ticket, ShedReason>)> = requests
             .iter()
             .enumerate()
@@ -843,7 +928,7 @@ impl<'a> QueryService<'a> {
                 match plan {
                     Err(reason) => ServeOutcome::Shed(*reason),
                     Ok(ticket) => self.serve_admitted_with_scratch(
-                        &searcher,
+                        &view,
                         *ticket,
                         &req.text,
                         &req.nodes,
@@ -854,13 +939,6 @@ impl<'a> QueryService<'a> {
             },
         )
     }
-}
-
-/// External ids of `hits` against one pinned searcher view.
-fn ids_of(searcher: &Searcher, hits: &[SearchHit]) -> Vec<String> {
-    hits.iter()
-        .map(|h| searcher.external_id(h.doc).to_owned())
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Sharded scatter-gather serving: N independent shards behind one
 //! service, bit-identical to a single-shard build.
 //!
-//! [`ShardedService`] routes every document to one of N shards by a
+//! [`ShardedService`] is the shared [`Service`] over the [`Sharded`]
+//! corpus. It routes every document to one of N shards by a
 //! deterministic hash of its external id ([`ShardRouter`]); each shard
 //! is its own [`SegmentedIndex`] with its own seal/merge lifecycle and
 //! its own published [`Searcher`] view. A query is *scattered*: each
@@ -27,36 +28,32 @@
 //! Each shard publishes independently; [`ShardedService::epoch_vector`]
 //! exposes the per-shard segment-set epochs. Sealing one shard bumps
 //! exactly one vector entry and invalidates the shared expansion cache
-//! exactly once — republishing an unchanged shard leaves the cache warm
-//! (the same exactly-once contract [`QueryService`](crate::serve::QueryService) has, per shard).
+//! exactly once — republishing an unchanged shard leaves the cache warm.
 
+use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
-use kbgraph::{ArticleId, KbGraph};
+use kbgraph::KbGraph;
 use searchlite::bm25::Bm25Params;
 use searchlite::index::PositionalScratch;
-use searchlite::ql::SearchHit;
+use searchlite::ql::{QlParams, QlScratch, SearchHit};
 use searchlite::shard::{
     bm25_global_stats, bm25_rank_shard, bm25_resolve_shard, merge_top_k, ql_global_pcs,
     ql_rank_shard, ql_resolve_shard, Bm25ShardResolve, QlShardResolve,
 };
 use searchlite::{Analyzer, DocId, IngestError, Query, SealReport, Searcher, SegmentedIndex, ShardRouter};
-use sqe_admission::{
-    select_rung, AdmissionController, Deadline, RungId, ServeOutcome, ShedReason, Stage, Ticket,
-};
 
-use crate::cache::{CacheKey, CachedExpansions, ExpansionCache};
-use crate::combine;
-use crate::expand;
-use crate::metrics::{Clock, MetricsSnapshot, NullClock, ServeMetrics};
-use crate::pipeline::{SqeConfig, SqeScratch};
-use crate::query_graph::QueryGraphBuilder;
-use crate::serve::{run_indexed, ServeConfig, ServeRequest};
-use crate::spec::MotifSet;
+use crate::metrics::{Clock, NullClock};
+use crate::pipeline::SqeConfig;
+use crate::serve::{Corpus, ServeConfig, Service};
+
+/// The sharded SQE query service: scatter-gather over N shards with
+/// exact-integer global statistics, a shared expansion cache, the
+/// work-stealing batch executor, and per-shard live ingestion.
+pub type ShardedService<'a> = Service<'a, Sharded>;
 
 /// The mutable side of a shard set: per-shard corpora plus the global
-/// ordinal assignment. Lock order matches [`QueryService`](crate::serve::QueryService):
-/// `maint` → `live` → `views`, always.
+/// ordinal assignment.
 struct ShardedLive {
     shards: Vec<SegmentedIndex>,
     /// Per shard: local doc id → global ingest ordinal. Strictly
@@ -69,34 +66,265 @@ struct ShardedLive {
 /// ordinal table snapshot that maps its local doc ids to global
 /// ordinals.
 #[derive(Clone)]
-struct ShardView {
+pub struct ShardView {
     searcher: Searcher,
     ordinals: Arc<Vec<u32>>,
 }
 
-/// The sharded SQE query service: scatter-gather over N shards with
-/// exact-integer global statistics, a shared expansion cache, the
-/// work-stealing batch executor, and per-shard live ingestion.
-pub struct ShardedService<'a> {
-    graph: &'a KbGraph,
-    cfg: SqeConfig,
-    serve_cfg: ServeConfig,
+/// The corpus of a [`ShardedService`]: N segmented shards, the router
+/// that assigns documents to them, and the published shard-set view.
+pub struct Sharded {
     router: ShardRouter,
-    /// Serializes maintenance (seals/merges) across all shards.
+    /// Serializes maintenance (seals/merges) across all shards. Lock
+    /// order: `maint` → `live` → `views`, always.
     maint: Mutex<()>,
     live: Mutex<ShardedLive>,
     /// The published per-shard views, swapped as one `Arc` so a query
     /// (or batch) pins a consistent shard set for its whole lifetime.
     views: RwLock<Arc<Vec<ShardView>>>,
-    cache: ExpansionCache,
-    metrics: ServeMetrics,
-    clock: Arc<dyn Clock>,
-    /// Gatekeeper for the deadline-aware `serve*` entry points; same
-    /// clock-free, deterministic contract as the single-shard service.
-    admission: AdmissionController,
 }
 
-impl<'a> ShardedService<'a> {
+/// Why a caller-supplied ordinal table (see [`ShardedService::from_shards`])
+/// was rejected. Every variant names the offending shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OrdinalTableError {
+    /// The table does not hold one ordinal per document of its shard
+    /// (sealed and buffered alike).
+    Length {
+        /// The shard.
+        shard: usize,
+        /// Documents the shard holds.
+        docs: usize,
+        /// Entries in its table.
+        len: usize,
+    },
+    /// The table is not strictly increasing at position `at`.
+    NotIncreasing {
+        /// The shard.
+        shard: usize,
+        /// First position whose ordinal is not above its predecessor's.
+        at: usize,
+    },
+    /// Two shards claim the same global ordinal.
+    Overlap {
+        /// The shard.
+        shard: usize,
+        /// The other shard claiming `ordinal`.
+        other: usize,
+        /// The doubly claimed ordinal.
+        ordinal: u32,
+    },
+}
+
+impl OrdinalTableError {
+    /// The shard whose table was rejected.
+    pub fn shard(&self) -> usize {
+        match self {
+            OrdinalTableError::Length { shard, .. }
+            | OrdinalTableError::NotIncreasing { shard, .. }
+            | OrdinalTableError::Overlap { shard, .. } => *shard,
+        }
+    }
+}
+
+impl fmt::Display for OrdinalTableError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OrdinalTableError::Length { shard, docs, len } => write!(
+                f,
+                "shard {shard} holds {docs} documents but its ordinal table has {len} entries"
+            ),
+            OrdinalTableError::NotIncreasing { shard, at } => write!(
+                f,
+                "ordinal table of shard {shard} is not strictly increasing at position {at}"
+            ),
+            OrdinalTableError::Overlap {
+                shard,
+                other,
+                ordinal,
+            } => write!(f, "shards {other} and {shard} both claim global ordinal {ordinal}"),
+        }
+    }
+}
+
+impl std::error::Error for OrdinalTableError {}
+
+/// Checks caller-supplied ordinal tables against their shards: one
+/// strictly increasing table per shard, one entry per document, no
+/// ordinal claimed twice. A missing table counts as empty.
+fn validate_ordinals(
+    shards: &[SegmentedIndex],
+    ordinals: &[Vec<u32>],
+) -> Result<(), OrdinalTableError> {
+    let mut owners: Vec<(u32, usize)> = Vec::new();
+    for shard in 0..shards.len().max(ordinals.len()) {
+        let docs = shards
+            .get(shard)
+            .map_or(0, |s| s.num_sealed_docs() + s.num_buffered_docs());
+        let table = ordinals.get(shard).map(Vec::as_slice).unwrap_or_default();
+        if table.len() != docs {
+            return Err(OrdinalTableError::Length {
+                shard,
+                docs,
+                len: table.len(),
+            });
+        }
+        if let Some(at) = table.iter().zip(table.iter().skip(1)).position(|(a, b)| a >= b) {
+            return Err(OrdinalTableError::NotIncreasing { shard, at: at + 1 });
+        }
+        owners.extend(table.iter().map(|&o| (o, shard)));
+    }
+    owners.sort_unstable();
+    match owners
+        .iter()
+        .zip(owners.iter().skip(1))
+        .find(|(a, b)| a.0 == b.0)
+    {
+        Some((&(ordinal, other), &(_, shard))) => Err(OrdinalTableError::Overlap {
+            shard,
+            other,
+            ordinal,
+        }),
+        None => Ok(()),
+    }
+}
+
+impl Sharded {
+    /// Assembles the corpus. `shards` takes precedence over the router's
+    /// count: the router is re-derived over `shards.len()` with the same
+    /// salt, and an empty shard list becomes one empty shard.
+    fn new(router: ShardRouter, mut shards: Vec<SegmentedIndex>, mut ordinals: Vec<Vec<u32>>) -> Sharded {
+        if shards.is_empty() {
+            // Degenerate input: serve an empty single-shard corpus
+            // rather than a service that cannot answer anything.
+            shards.push(SegmentedIndex::new(Analyzer::english()));
+        }
+        ordinals.resize(shards.len(), Vec::new());
+        let next_ordinal = ordinals
+            .iter()
+            .flat_map(|o| o.iter().copied())
+            .max()
+            .map_or(0, |m| m.saturating_add(1));
+        let views: Vec<ShardView> = shards
+            .iter()
+            .zip(&ordinals)
+            .map(|(shard, ords)| ShardView {
+                searcher: shard.searcher(),
+                ordinals: Arc::new(ords.clone()),
+            })
+            .collect();
+        Sharded {
+            router: ShardRouter::with_salt(shards.len(), router.salt()),
+            maint: Mutex::new(()),
+            live: Mutex::new(ShardedLive {
+                shards,
+                ordinals,
+                next_ordinal,
+            }),
+            views: RwLock::new(Arc::new(views)),
+        }
+    }
+
+    fn maint_lock(&self) -> MutexGuard<'_, ()> {
+        match self.maint.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    fn live_lock(&self) -> MutexGuard<'_, ShardedLive> {
+        match self.live.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    fn views_read(&self) -> RwLockReadGuard<'_, Arc<Vec<ShardView>>> {
+        match self.views.read() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Publishes a refreshed view for one shard; true when that shard's
+    /// epoch advanced (the caller then invalidates the shared expansion
+    /// cache, exactly once). Republishing the same epoch returns false.
+    fn publish_shard(&self, shard: usize, searcher: Searcher, ordinals: Arc<Vec<u32>>) -> bool {
+        // The successor vector is built outside the write lock; the
+        // maintenance mutex (held by the only caller, `seal_shard`)
+        // serializes publishes, so no concurrent publish can be lost.
+        let current = self.pin();
+        let mut next: Vec<ShardView> = current.as_ref().clone();
+        let Some(slot) = next.get_mut(shard) else {
+            return false;
+        };
+        let advanced = searcher.epoch() > slot.searcher.epoch();
+        if advanced || searcher.epoch() == slot.searcher.epoch() {
+            *slot = ShardView { searcher, ordinals };
+            let next = Arc::new(next);
+            let mut views = match self.views.write() {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            *views = next;
+        }
+        advanced
+    }
+}
+
+impl Corpus for Sharded {
+    type View = Arc<Vec<ShardView>>;
+
+    fn pin(&self) -> Arc<Vec<ShardView>> {
+        Arc::clone(&self.views_read())
+    }
+
+    fn analyzer(view: &Arc<Vec<ShardView>>) -> &Analyzer {
+        view.first()
+            .map(|v| v.searcher.analyzer())
+            .expect("invariant: a sharded service always has at least one shard")
+    }
+
+    fn rank(
+        view: &Arc<Vec<ShardView>>,
+        query: &Query,
+        params: QlParams,
+        k: usize,
+        scratch: &mut QlScratch,
+    ) -> Vec<SearchHit> {
+        scatter_ql(view, query, params, k, scratch.positional())
+    }
+
+    /// Each shard's ordinal table is strictly increasing, so the owning
+    /// shard of a global-ordinal hit is found by binary search.
+    fn external_ids(view: &Arc<Vec<ShardView>>, hits: &[SearchHit]) -> Vec<String> {
+        hits.iter()
+            .map(|h| {
+                view.iter()
+                    .find_map(|v| {
+                        v.ordinals.binary_search(&h.doc.0).ok().map(|local| {
+                            let local = u32::try_from(local)
+                                .expect("invariant: per-shard doc count fits in u32");
+                            v.searcher.external_id(DocId(local)).to_owned()
+                        })
+                    })
+                    .expect("invariant: hit ordinals originate from these views")
+            })
+            .collect()
+    }
+
+    /// The sum of the epoch vector — monotone under any seal or merge on
+    /// any shard.
+    fn epoch(&self) -> u64 {
+        self.views_read().iter().map(|v| v.searcher.epoch()).sum()
+    }
+
+    fn searchers(view: &Arc<Vec<ShardView>>) -> Vec<&Searcher> {
+        view.iter().map(|v| &v.searcher).collect()
+    }
+}
+
+impl<'a> Service<'a, Sharded> {
     /// Creates an empty service with `router.shards()` empty shards and
     /// the no-op [`NullClock`].
     pub fn new(
@@ -122,14 +350,16 @@ impl<'a> ShardedService<'a> {
             .map(|_| SegmentedIndex::new(analyzer.clone()))
             .collect();
         let ordinals = vec![Vec::new(); shards.len()];
-        ShardedService::from_shards_with_clock(graph, router, shards, ordinals, cfg, serve_cfg, clock)
+        Service::assemble(graph, Sharded::new(router, shards, ordinals), cfg, serve_cfg, clock)
     }
 
     /// Creates a service over existing per-shard corpora — the reopen
     /// path after loading one snapshot per shard. `ordinals` must map
     /// each shard's local doc ids to the global ingest ordinals of the
-    /// original run (each vector strictly increasing); the caller
-    /// recovers them from its ingest manifest. `shards` takes
+    /// original run: one strictly increasing table per shard with one
+    /// entry per document, no ordinal in two tables. The caller recovers
+    /// them from its ingest manifest; a table breaking that contract is
+    /// rejected here rather than panicking at query time. `shards` takes
     /// precedence over the router's count: the router is re-derived
     /// over `shards.len()` with the same salt.
     pub fn from_shards(
@@ -139,82 +369,18 @@ impl<'a> ShardedService<'a> {
         ordinals: Vec<Vec<u32>>,
         cfg: SqeConfig,
         serve_cfg: ServeConfig,
-    ) -> Self {
-        ShardedService::from_shards_with_clock(
-            graph,
-            router,
-            shards,
-            ordinals,
-            cfg,
-            serve_cfg,
-            Arc::new(NullClock),
-        )
-    }
-
-    /// [`ShardedService::from_shards`] with an injected clock.
-    pub fn from_shards_with_clock(
-        graph: &'a KbGraph,
-        router: ShardRouter,
-        mut shards: Vec<SegmentedIndex>,
-        mut ordinals: Vec<Vec<u32>>,
-        cfg: SqeConfig,
-        serve_cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        if shards.is_empty() {
-            // Degenerate input: serve an empty single-shard corpus
-            // rather than a service that cannot answer anything.
-            shards.push(SegmentedIndex::new(Analyzer::english()));
-        }
-        ordinals.resize(shards.len(), Vec::new());
-        let router = ShardRouter::with_salt(shards.len(), router.salt());
-        let next_ordinal = ordinals
-            .iter()
-            .flat_map(|o| o.iter().copied())
-            .max()
-            .map_or(0, |m| m.saturating_add(1));
-        let views: Vec<ShardView> = shards
-            .iter()
-            .zip(&ordinals)
-            .map(|(shard, ords)| ShardView {
-                searcher: shard.searcher(),
-                ordinals: Arc::new(ords.clone()),
-            })
-            .collect();
-        #[cfg(all(debug_assertions, feature = "validate"))]
-        {
-            kbgraph::audit::GraphAudit::run(graph).assert_clean("ShardedService");
-            for view in &views {
-                for seg in view.searcher.segments() {
-                    searchlite::audit::IndexAudit::run(seg.index()).assert_clean("ShardedService");
-                }
-            }
-        }
-        let cache = ExpansionCache::new(serve_cfg.cache_capacity);
-        let metrics = ServeMetrics::new(serve_cfg.ladder.len());
-        let admission = AdmissionController::new(serve_cfg.admission);
-        ShardedService {
-            graph,
-            cfg,
-            serve_cfg,
-            router,
-            maint: Mutex::new(()),
-            live: Mutex::new(ShardedLive {
-                shards,
-                ordinals,
-                next_ordinal,
-            }),
-            views: RwLock::new(Arc::new(views)),
-            cache,
-            metrics,
-            clock,
-            admission,
-        }
+    ) -> Result<Self, OrdinalTableError> {
+        validate_ordinals(&shards, &ordinals)?;
+        let corpus = Sharded::new(router, shards, ordinals);
+        Ok(Service::assemble(graph, corpus, cfg, serve_cfg, Arc::new(NullClock)))
     }
 
     /// Reopens a sharded deployment from one store snapshot per shard
     /// (each holding the collection under `collection`); see
-    /// [`ShardedService::from_shards`] for the `ordinals` contract.
+    /// [`ShardedService::from_shards`] for the `ordinals` contract. A
+    /// rejected ordinal table surfaces as
+    /// [`StoreError::AuditRejected`](sqe_store::StoreError::AuditRejected)
+    /// naming the shard.
     pub fn from_shard_snapshots(
         graph: &'a KbGraph,
         snapshots: &[sqe_store::Snapshot],
@@ -232,136 +398,50 @@ impl<'a> ShardedService<'a> {
                 searcher.segments().to_vec(),
             ));
         }
-        Ok(ShardedService::from_shards(
-            graph, router, shards, ordinals, cfg, serve_cfg,
-        ))
-    }
-
-    fn maint_lock(&self) -> MutexGuard<'_, ()> {
-        match self.maint.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn live_lock(&self) -> MutexGuard<'_, ShardedLive> {
-        match self.live.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn views_read(&self) -> RwLockReadGuard<'_, Arc<Vec<ShardView>>> {
-        match self.views.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Pins the current shard set (one `Arc` clone).
-    fn pinned_views(&self) -> Arc<Vec<ShardView>> {
-        Arc::clone(&self.views_read())
-    }
-
-    /// Publishes a refreshed view for one shard. Invalidates the shared
-    /// expansion cache exactly once per epoch advance of that shard;
-    /// republishing the same epoch leaves the cache warm.
-    fn publish_shard(&self, shard: usize, searcher: Searcher, ordinals: Arc<Vec<u32>>) {
-        // The successor vector is built outside the write lock; the
-        // maintenance mutex (held by the only caller, `seal_shard`)
-        // serializes publishes, so no concurrent publish can be lost.
-        let current = self.pinned_views();
-        let mut next: Vec<ShardView> = current.as_ref().clone();
-        let Some(slot) = next.get_mut(shard) else {
-            return;
-        };
-        let advanced = searcher.epoch() > slot.searcher.epoch();
-        if advanced || searcher.epoch() == slot.searcher.epoch() {
-            *slot = ShardView { searcher, ordinals };
-            let next = Arc::new(next);
-            let mut views = match self.views.write() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            *views = next;
-        }
-        if advanced {
-            self.cache.invalidate();
-            self.metrics.invalidations.inc();
-        }
+        ShardedService::from_shards(graph, router, shards, ordinals, cfg, serve_cfg).map_err(|e| {
+            sqe_store::StoreError::AuditRejected {
+                what: format!("ordinal table of shard {}", e.shard()),
+                report: e.to_string(),
+            }
+        })
     }
 
     // ----------------------------------------------------- accessors --
 
-    /// The KB graph.
-    pub fn graph(&self) -> &KbGraph {
-        self.graph
-    }
-
-    /// The pipeline configuration.
-    pub fn config(&self) -> &SqeConfig {
-        &self.cfg
-    }
-
     /// The document router.
     pub fn router(&self) -> ShardRouter {
-        self.router
+        self.corpus.router
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.router.shards()
+        self.corpus.router.shards()
     }
 
     /// The per-shard segment-set epochs of the published views. Sealing
     /// shard `s` bumps exactly entry `s`.
     pub fn epoch_vector(&self) -> Vec<u64> {
-        self.views_read().iter().map(|v| v.searcher.epoch()).collect()
+        self.corpus.views_read().iter().map(|v| v.searcher.epoch()).collect()
     }
 
     /// A pinned clone of one shard's published searcher.
     pub fn shard_searcher(&self, shard: usize) -> Option<Searcher> {
-        self.views_read().get(shard).map(|v| v.searcher.clone())
+        self.corpus.views_read().get(shard).map(|v| v.searcher.clone())
     }
 
     /// One shard's local-id → global-ordinal table (pinned snapshot).
     pub fn shard_ordinals(&self, shard: usize) -> Option<Arc<Vec<u32>>> {
-        self.views_read().get(shard).map(|v| Arc::clone(&v.ordinals))
+        self.corpus.views_read().get(shard).map(|v| Arc::clone(&v.ordinals))
     }
 
     /// Documents waiting in shard buffers (invisible until sealed).
     pub fn num_buffered_docs(&self) -> usize {
-        self.live_lock().shards.iter().map(SegmentedIndex::num_buffered_docs).sum()
+        self.corpus.live_lock().shards.iter().map(SegmentedIndex::num_buffered_docs).sum()
     }
 
     /// Searchable documents across all shards.
     pub fn num_docs(&self) -> usize {
-        self.views_read().iter().map(|v| v.searcher.num_docs()).sum()
-    }
-
-    /// Occupied cache entries (live and stale-but-unreclaimed).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Bumps the cache generation out of band; seals invalidate
-    /// automatically.
-    pub fn invalidate_cache(&self) {
-        self.cache.invalidate();
-        self.metrics.invalidations.inc();
-    }
-
-    /// Point-in-time copy of every metric. The snapshot's scalar epoch
-    /// is the *sum* of the epoch vector — monotone under any seal or
-    /// merge on any shard.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let epoch: u64 = self.epoch_vector().iter().sum();
-        self.metrics.snapshot(self.cache.evictions(), epoch)
-    }
-
-    /// Zeroes counters and histograms without touching the cache.
-    pub fn reset_metrics(&self) {
-        self.metrics.reset();
+        self.corpus.views_read().iter().map(|v| v.searcher.num_docs()).sum()
     }
 
     // ----------------------------------------------------- ingestion --
@@ -375,10 +455,9 @@ impl<'a> ShardedService<'a> {
     /// in a previous life (different shard count or salt) still cannot
     /// be ingested twice.
     pub fn add_document(&self, external_id: &str, text: &str) -> Result<DocId, IngestError> {
-        let t0 = self.clock.now_nanos();
-        let result = {
-            let mut live = self.live_lock();
-            let target = self.router.route(external_id);
+        self.timed_ingest(|corpus| {
+            let mut live = corpus.live_lock();
+            let target = corpus.router.route(external_id);
             let ShardedLive {
                 shards,
                 ordinals,
@@ -389,30 +468,23 @@ impl<'a> ShardedService<'a> {
                 .enumerate()
                 .any(|(s, shard)| s != target && shard.contains_external_id(external_id));
             if duplicate_elsewhere {
-                Err(IngestError::DuplicateExternalId {
+                return Err(IngestError::DuplicateExternalId {
                     external_id: external_id.to_owned(),
-                })
-            } else {
-                let shard = shards
-                    .get_mut(target)
-                    .expect("invariant: router output bounded by shard count");
-                shard.add_document(external_id, text).map(|_local| {
-                    let global = *next_ordinal;
-                    ordinals
-                        .get_mut(target)
-                        .expect("invariant: one ordinal table per shard")
-                        .push(global);
-                    *next_ordinal = next_ordinal.saturating_add(1);
-                    DocId(global)
-                })
+                });
             }
-        };
-        if result.is_ok() {
-            let t1 = self.clock.now_nanos();
-            self.metrics.docs_ingested.inc();
-            self.metrics.ingest.add.record(t1.saturating_sub(t0));
-        }
-        result
+            let shard = shards
+                .get_mut(target)
+                .expect("invariant: router output bounded by shard count");
+            shard.add_document(external_id, text).map(|_local| {
+                let global = *next_ordinal;
+                ordinals
+                    .get_mut(target)
+                    .expect("invariant: one ordinal table per shard")
+                    .push(global);
+                *next_ordinal = next_ordinal.saturating_add(1);
+                DocId(global)
+            })
+        })
     }
 
     /// Seals one shard's ingest buffer into a new immutable segment,
@@ -426,12 +498,12 @@ impl<'a> ShardedService<'a> {
     /// and all queries proceed concurrently.
     pub fn seal_shard(&self, shard: usize) -> Option<SealReport> {
         let t0 = self.clock.now_nanos();
-        let _maint = self.maint_lock();
-        let pending = self.live_lock().shards.get_mut(shard)?.begin_seal()?;
+        let _maint = self.corpus.maint_lock();
+        let pending = self.corpus.live_lock().shards.get_mut(shard)?.begin_seal()?;
         // lint:allow(must-audit-after-mutation) — IndexAudit runs inside PendingSeal::build
         let built = pending.build();
         let (mut report, task) = {
-            let mut live = self.live_lock();
+            let mut live = self.corpus.live_lock();
             let s = live
                 .shards
                 .get_mut(shard)
@@ -441,7 +513,7 @@ impl<'a> ShardedService<'a> {
         };
         let outcome = task.run_policy();
         let (searcher, ords) = {
-            let mut live = self.live_lock();
+            let mut live = self.corpus.live_lock();
             let ords = live.ordinals.get(shard).cloned().unwrap_or_default();
             let s = live
                 .shards
@@ -452,13 +524,10 @@ impl<'a> ShardedService<'a> {
             }
             (s.searcher(), ords)
         };
-        self.publish_shard(shard, searcher, Arc::new(ords));
-        self.metrics.seals.inc();
-        self.metrics
-            .merges
-            .add(u64::try_from(report.merges).expect("invariant: merge count fits in u64"));
-        let t1 = self.clock.now_nanos();
-        self.metrics.ingest.seal.record(t1.saturating_sub(t0));
+        if self.corpus.publish_shard(shard, searcher, Arc::new(ords)) {
+            self.invalidate_cache();
+        }
+        self.record_seal(t0, &report);
         Some(report)
     }
 
@@ -476,7 +545,7 @@ impl<'a> ShardedService<'a> {
     /// every shard, exact-integer gather, phase-2 scoring, ordinal
     /// mapping, `scorecmp` merge. Hit ids are global ingest ordinals.
     pub fn rank_ql(&self, query: &Query, k: usize) -> Vec<SearchHit> {
-        let views = self.pinned_views();
+        let views = self.corpus.pin();
         let mut pos = PositionalScratch::new();
         scatter_ql(&views, query, self.cfg.ql, k, &mut pos)
     }
@@ -484,7 +553,7 @@ impl<'a> ShardedService<'a> {
     /// Scatter-gather BM25 over a raw structured query (global `N`, df
     /// and avgdl from exact integer sums). Hit ids are global ordinals.
     pub fn rank_bm25(&self, query: &Query, params: Bm25Params, k: usize) -> Vec<SearchHit> {
-        let views = self.pinned_views();
+        let views = self.corpus.pin();
         let partials: Vec<Bm25ShardResolve> = views
             .iter()
             .map(|v| bm25_resolve_shard(&v.searcher, query))
@@ -497,362 +566,6 @@ impl<'a> ShardedService<'a> {
             }
         }
         merge_top_k(all, k)
-    }
-
-    /// External ids of `hits` (global-ordinal ids) against the current
-    /// views.
-    pub fn external_ids(&self, hits: &[SearchHit]) -> Vec<String> {
-        let views = self.pinned_views();
-        ids_of_sharded(&views, hits)
-    }
-
-    /// The expansion features for one query under one motif set —
-    /// shared LRU cache, same key and same exactly-once invalidation
-    /// semantics as the single-shard service.
-    fn expansions_for(
-        &self,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        scratch: &mut SqeScratch,
-    ) -> CachedExpansions {
-        let key = CacheKey::new(nodes, motifs.fingerprint());
-        if let Some(hit) = self.cache.get(&key) {
-            self.metrics.cache_hits.inc();
-            return hit;
-        }
-        self.metrics.cache_misses.inc();
-        let builder = QueryGraphBuilder::from_set(self.graph, motifs);
-        let qg = builder.build_with_scratch(nodes, &mut scratch.qg);
-        let expansions: CachedExpansions = Arc::new(qg.expansions);
-        self.cache.insert(key, Arc::clone(&expansions));
-        expansions
-    }
-
-    /// Expand + scatter-gather rank for one motif set against a
-    /// pinned shard set.
-    fn stage_run(
-        &self,
-        views: &[ShardView],
-        text: &str,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        scratch: &mut SqeScratch,
-    ) -> Vec<SearchHit> {
-        let cfg = &self.cfg;
-        let t0 = self.clock.now_nanos();
-        let expansions = self.expansions_for(nodes, motifs, scratch);
-        let t1 = self.clock.now_nanos();
-        let analyzer = views
-            .first()
-            .map(|v| v.searcher.analyzer())
-            .expect("invariant: a sharded service always has at least one shard");
-        let query = expand::build_query(self.graph, text, nodes, &expansions, analyzer, &cfg.expand);
-        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, scratch.ql.positional());
-        let t2 = self.clock.now_nanos();
-        self.metrics.stages.expand.record(t1.saturating_sub(t0));
-        self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        hits
-    }
-
-    /// Retrieval with an arbitrary [`MotifSet`], scattered across shards;
-    /// byte-identical to the single-shard [`QueryService::rank_sqe`](crate::serve::QueryService::rank_sqe)
-    /// modulo hit ids being global ordinals.
-    pub fn rank_sqe(&self, text: &str, nodes: &[ArticleId], motifs: &MotifSet) -> Vec<SearchHit> {
-        let views = self.pinned_views();
-        self.rank_sqe_with_scratch(&views, text, nodes, motifs, &mut SqeScratch::new())
-    }
-
-    fn rank_sqe_with_scratch(
-        &self,
-        views: &[ShardView],
-        text: &str,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        scratch: &mut SqeScratch,
-    ) -> Vec<SearchHit> {
-        let t0 = self.clock.now_nanos();
-        let hits = self.stage_run(views, text, nodes, motifs, scratch);
-        let t1 = self.clock.now_nanos();
-        self.metrics.stages.total.record(t1.saturating_sub(t0));
-        self.metrics.queries.inc();
-        hits
-    }
-
-    /// `SQE_C` rank-range combination, scattered across shards; the
-    /// combined external-id list is byte-identical to the single-shard
-    /// service.
-    pub fn rank_sqe_c(&self, text: &str, nodes: &[ArticleId]) -> Vec<String> {
-        let views = self.pinned_views();
-        self.rank_sqe_c_with_scratch(&views, text, nodes, &mut SqeScratch::new())
-    }
-
-    fn rank_sqe_c_with_scratch(
-        &self,
-        views: &[ShardView],
-        text: &str,
-        nodes: &[ArticleId],
-        scratch: &mut SqeScratch,
-    ) -> Vec<String> {
-        let t0 = self.clock.now_nanos();
-        let t = self.stage_run(views, text, nodes, &MotifSet::triangular(), scratch);
-        let ts = self.stage_run(views, text, nodes, &MotifSet::t_and_s(), scratch);
-        let s = self.stage_run(views, text, nodes, &MotifSet::square(), scratch);
-        let c0 = self.clock.now_nanos();
-        let ids = combine::sqe_c(
-            &ids_of_sharded(views, &t),
-            &ids_of_sharded(views, &ts),
-            &ids_of_sharded(views, &s),
-            self.cfg.depth,
-        );
-        let c1 = self.clock.now_nanos();
-        self.metrics.stages.combine.record(c1.saturating_sub(c0));
-        self.metrics.stages.total.record(c1.saturating_sub(t0));
-        self.metrics.queries.inc();
-        ids
-    }
-
-    /// Batch `SQE` retrieval over the configured worker pool. The whole
-    /// batch pins one shard-set view: a seal landing mid-batch affects
-    /// the next batch, never this one. Results keep input order.
-    pub fn run_batch(
-        &self,
-        queries: &[(String, Vec<ArticleId>)],
-        motifs: &MotifSet,
-    ) -> Vec<Vec<SearchHit>> {
-        let views = self.pinned_views();
-        run_indexed(
-            queries,
-            self.serve_cfg.workers,
-            SqeScratch::new,
-            |(text, nodes), scratch| {
-                self.rank_sqe_with_scratch(&views, text, nodes, motifs, scratch)
-            },
-        )
-    }
-
-    /// Batch `SQE_C` retrieval over the configured worker pool (same
-    /// pinned-view guarantee as [`ShardedService::run_batch`]).
-    pub fn run_batch_sqe_c(&self, queries: &[(String, Vec<ArticleId>)]) -> Vec<Vec<String>> {
-        let views = self.pinned_views();
-        run_indexed(
-            queries,
-            self.serve_cfg.workers,
-            SqeScratch::new,
-            |(text, nodes), scratch| self.rank_sqe_c_with_scratch(&views, text, nodes, scratch),
-        )
-    }
-
-    // ------------------------------------ admission & degraded serving --
-
-    /// The admission controller guarding the `serve*` entry points.
-    pub fn admission(&self) -> &AdmissionController {
-        &self.admission
-    }
-
-    /// Asks the admission controller for a ticket at the current clock
-    /// reading; rejections are counted in `sheds`. Mirrors
-    /// [`QueryService::admit`](crate::serve::QueryService::admit).
-    pub fn admit(&self) -> Result<Ticket, ShedReason> {
-        let decision = self.admission.try_admit(self.clock.now_nanos());
-        if decision.is_err() {
-            self.metrics.sheds.inc();
-        }
-        decision
-    }
-
-    /// Feeds one cost observation into the degraded-mode ladder's
-    /// per-rung estimates (benchmarks prime the selector through this).
-    pub fn record_ladder_cost(&self, rung: usize, nanos: u64) {
-        self.metrics.ladder.record_cost(rung, nanos);
-    }
-
-    /// Admission-controlled, deadline-aware serve of one request across
-    /// all shards; hit ids are global ingest ordinals.
-    pub fn serve(
-        &self,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        match self.admit() {
-            Err(reason) => ServeOutcome::Shed(reason),
-            Ok(ticket) => self.serve_admitted(ticket, text, nodes, deadline),
-        }
-    }
-
-    /// Serves a request that already holds an admission ticket.
-    pub fn serve_admitted(
-        &self,
-        ticket: Ticket,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        let views = self.pinned_views();
-        self.serve_admitted_with_scratch(&views, ticket, text, nodes, deadline, &mut SqeScratch::new())
-    }
-
-    fn serve_admitted_with_scratch(
-        &self,
-        views: &[ShardView],
-        ticket: Ticket,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-        scratch: &mut SqeScratch,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        let now = self.clock.now_nanos();
-        if let Err(reason) = self.admission.on_start(ticket, now) {
-            self.metrics.sheds.inc();
-            return ServeOutcome::Shed(reason);
-        }
-        let remaining = deadline.remaining(now);
-        if remaining == Some(0) {
-            self.metrics.deadline_exceeded.inc();
-            return ServeOutcome::DeadlineExceeded(Stage::Queue);
-        }
-        let Some(rung) = select_rung(remaining, &self.metrics.ladder.cost_estimates()) else {
-            self.metrics.sheds.inc();
-            return ServeOutcome::Shed(ShedReason::BudgetExhausted);
-        };
-        self.run_rung(views, rung, text, nodes, deadline, scratch)
-    }
-
-    /// Runs one request at a forced ladder rung with no admission and no
-    /// deadline (the calibration entry; primes the cost estimates).
-    pub fn serve_at_rung(&self, rung: usize, text: &str, nodes: &[ArticleId]) -> Vec<SearchHit> {
-        let views = self.pinned_views();
-        self.run_rung(&views, rung, text, nodes, Deadline::NONE, &mut SqeScratch::new())
-            .into_value()
-            .unwrap_or_default()
-    }
-
-    /// Executes one ladder rung under `deadline` against a pinned shard
-    /// set; same recording contract as the single-shard service (blown
-    /// attempts still record their cost).
-    fn run_rung(
-        &self,
-        views: &[ShardView],
-        rung: usize,
-        text: &str,
-        nodes: &[ArticleId],
-        deadline: Deadline,
-        scratch: &mut SqeScratch,
-    ) -> ServeOutcome<Vec<SearchHit>> {
-        let rung_def = self
-            .serve_cfg
-            .ladder
-            .rung(rung)
-            .expect("invariant: rung index is within the configured ladder");
-        let t0 = self.clock.now_nanos();
-        let staged = match rung_def.motifs() {
-            Some(motifs) => {
-                self.stage_run_deadline(views, text, nodes, motifs, deadline, scratch)
-            }
-            None => {
-                let analyzer = views
-                    .first()
-                    .map(|v| v.searcher.analyzer())
-                    .expect("invariant: a sharded service always has at least one shard");
-                let query = expand::user_part(text, analyzer);
-                let hits =
-                    scatter_ql(views, &query, self.cfg.ql, self.cfg.depth, scratch.ql.positional());
-                let t1 = self.clock.now_nanos();
-                self.metrics.stages.rank.record(t1.saturating_sub(t0));
-                Ok(hits)
-            }
-        };
-        let t1 = self.clock.now_nanos();
-        let elapsed = t1.saturating_sub(t0);
-        self.metrics.ladder.record_cost(rung, elapsed);
-        self.metrics.stages.total.record(elapsed);
-        self.metrics.queries.inc();
-        let hits = match staged {
-            Ok(hits) => hits,
-            Err(stage) => {
-                self.metrics.deadline_exceeded.inc();
-                return ServeOutcome::DeadlineExceeded(stage);
-            }
-        };
-        if deadline.expired(t1) {
-            self.metrics.deadline_exceeded.inc();
-            return ServeOutcome::DeadlineExceeded(Stage::Rank);
-        }
-        if let Some(counter) = self.metrics.ladder.served.get(rung) {
-            counter.inc();
-        }
-        if rung == 0 {
-            ServeOutcome::Ok(hits)
-        } else {
-            ServeOutcome::Degraded(RungId::new(rung, Arc::clone(rung_def.name())), hits)
-        }
-    }
-
-    /// [`ShardedService::stage_run`] with a deadline check between the
-    /// expand and scatter-gather rank stages.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_run_deadline(
-        &self,
-        views: &[ShardView],
-        text: &str,
-        nodes: &[ArticleId],
-        motifs: &MotifSet,
-        deadline: Deadline,
-        scratch: &mut SqeScratch,
-    ) -> Result<Vec<SearchHit>, Stage> {
-        let cfg = &self.cfg;
-        let t0 = self.clock.now_nanos();
-        let expansions = self.expansions_for(nodes, motifs, scratch);
-        let t1 = self.clock.now_nanos();
-        self.metrics.stages.expand.record(t1.saturating_sub(t0));
-        if deadline.expired(t1) {
-            return Err(Stage::Expand);
-        }
-        let analyzer = views
-            .first()
-            .map(|v| v.searcher.analyzer())
-            .expect("invariant: a sharded service always has at least one shard");
-        let query = expand::build_query(self.graph, text, nodes, &expansions, analyzer, &cfg.expand);
-        let hits = scatter_ql(views, &query, cfg.ql, cfg.depth, scratch.ql.positional());
-        let t2 = self.clock.now_nanos();
-        self.metrics.stages.rank.record(t2.saturating_sub(t1));
-        Ok(hits)
-    }
-
-    /// Admission-controlled batch serving across shards. Admission
-    /// decisions run as a sequential pre-pass in input order on the
-    /// caller's thread — identical contract to
-    /// [`QueryService::serve_batch`](crate::serve::QueryService::serve_batch), so the outcome
-    /// sequence is byte-identical at any worker count and any shard
-    /// count for a fixed clock schedule.
-    pub fn serve_batch(&self, requests: &[ServeRequest]) -> Vec<ServeOutcome<Vec<SearchHit>>> {
-        let views = self.pinned_views();
-        let plans: Vec<(usize, Result<Ticket, ShedReason>)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, _)| (i, self.admit()))
-            .collect();
-        run_indexed(
-            &plans,
-            self.serve_cfg.workers,
-            SqeScratch::new,
-            |(i, plan), scratch| {
-                let req = requests
-                    .get(*i)
-                    .expect("invariant: plans index requests one-to-one");
-                match plan {
-                    Err(reason) => ServeOutcome::Shed(*reason),
-                    Ok(ticket) => self.serve_admitted_with_scratch(
-                        &views,
-                        *ticket,
-                        &req.text,
-                        &req.nodes,
-                        req.deadline,
-                        scratch,
-                    ),
-                }
-            },
-        )
     }
 }
 
@@ -870,7 +583,7 @@ fn global_ordinal(view: &ShardView, local: u32) -> u32 {
 fn scatter_ql(
     views: &[ShardView],
     query: &Query,
-    params: searchlite::ql::QlParams,
+    params: QlParams,
     k: usize,
     pos: &mut PositionalScratch,
 ) -> Vec<SearchHit> {
@@ -888,32 +601,15 @@ fn scatter_ql(
     merge_top_k(all, k)
 }
 
-/// External ids of global-ordinal hits: each shard's ordinal table is
-/// strictly increasing, so the owning shard is found by binary search.
-fn ids_of_sharded(views: &[ShardView], hits: &[SearchHit]) -> Vec<String> {
-    hits.iter()
-        .map(|h| {
-            views
-                .iter()
-                .find_map(|v| {
-                    v.ordinals.binary_search(&h.doc.0).ok().map(|local| {
-                        let local = u32::try_from(local)
-                            .expect("invariant: per-shard doc count fits in u32");
-                        v.searcher.external_id(DocId(local)).to_owned()
-                    })
-                })
-                .expect("invariant: hit ordinals originate from these views")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serve::QueryService;
-    use kbgraph::GraphBuilder;
+    use crate::spec::MotifSet;
+    use kbgraph::{ArticleId, GraphBuilder};
     use searchlite::bm25;
     use searchlite::ql::QlParams;
+    use sqe_admission::{Deadline, ServeOutcome};
     use searchlite::{Index, IndexBuilder};
 
     const DOCS: [(&str, &str); 8] = [
@@ -1116,7 +812,8 @@ mod tests {
             ordinals,
             SqeConfig::default(),
             ServeConfig::default(),
-        );
+        )
+        .expect("one ordinal per document");
         assert_ne!(service.router().route(id), home, "test needs a re-routed id");
         assert!(
             matches!(
@@ -1135,7 +832,7 @@ mod tests {
         let qs = queries(cable);
         let want = service.run_batch(&qs, &MotifSet::triangular());
         service.add_document("d-late-1", "late cable car news").expect("fresh id");
-        let pinned = service.pinned_views();
+        let pinned = service.corpus.pin();
         service.seal_all();
         let docs: usize = pinned.iter().map(|v| v.searcher.num_docs()).sum();
         assert_eq!(docs, DOCS.len(), "pinned views are immutable");
@@ -1200,5 +897,95 @@ mod tests {
         assert!(service.rank_sqe("cable car", &[cable], &MotifSet::triangular()).is_empty());
         assert!(service.rank_sqe_c("cable car", &[cable]).is_empty());
         assert_eq!(service.epoch_vector(), vec![0, 0, 0]);
+    }
+
+    /// `ShardedService::from_shards` over two sealed shards holding
+    /// DOCS[..3] and DOCS[3..5] (valid tables: `[[0, 1, 2], [3, 4]]`).
+    fn from_tables(graph: &KbGraph, ordinals: Vec<Vec<u32>>) -> Result<(), OrdinalTableError> {
+        let mut shards: Vec<SegmentedIndex> =
+            (0..2).map(|_| SegmentedIndex::new(Analyzer::plain())).collect();
+        for (i, (id, text)) in DOCS.iter().take(5).enumerate() {
+            shards[usize::from(i >= 3)].add_document(id, text).expect("unique test ids");
+        }
+        for shard in &mut shards {
+            shard.seal().expect("seals");
+        }
+        let router = ShardRouter::new(2);
+        ShardedService::from_shards(graph, router, shards, ordinals, SqeConfig::default(), ServeConfig::default())
+            .map(|_| ())
+    }
+
+    #[test]
+    fn ordinal_table_shorter_than_its_shard_is_rejected() {
+        let (graph, _, _) = world();
+        assert_eq!(
+            from_tables(&graph, vec![vec![0, 1, 2], vec![3]]),
+            Err(OrdinalTableError::Length { shard: 1, docs: 2, len: 1 })
+        );
+        // A table for a shard that does not exist is a length mismatch too.
+        assert_eq!(
+            from_tables(&graph, vec![vec![0, 1, 2], vec![3, 4], vec![5]]),
+            Err(OrdinalTableError::Length { shard: 2, docs: 0, len: 1 })
+        );
+    }
+
+    #[test]
+    fn ordinal_table_not_increasing_is_rejected() {
+        let (graph, _, _) = world();
+        assert_eq!(
+            from_tables(&graph, vec![vec![0, 1, 2], vec![5, 3]]),
+            Err(OrdinalTableError::NotIncreasing { shard: 1, at: 1 })
+        );
+    }
+
+    #[test]
+    fn ordinal_tables_that_overlap_are_rejected() {
+        let (graph, _, _) = world();
+        let err = from_tables(&graph, vec![vec![0, 1, 2], vec![2, 4]]).expect_err("overlap");
+        assert_eq!(err, OrdinalTableError::Overlap { shard: 1, other: 0, ordinal: 2 });
+        assert_eq!(err.shard(), 1);
+    }
+
+    #[test]
+    fn snapshot_reopen_rejects_a_bad_ordinal_table_naming_the_shard() {
+        let (graph, _, _) = world();
+        let snaps: Vec<sqe_store::Snapshot> = [&DOCS[..3], &DOCS[3..5]]
+            .iter()
+            .map(|docs| {
+                let mut ib = IndexBuilder::new(Analyzer::plain());
+                for (id, text) in docs.iter() {
+                    ib.add_document(id, text).expect("unique test ids");
+                }
+                let index = ib.build();
+                let segments = [&index];
+                let collections: [(&str, &[&Index]); 1] = [("c", &segments)];
+                let bytes = sqe_store::encode_snapshot(&sqe_store::SnapshotContents {
+                    graph: &graph,
+                    collections: &collections,
+                    dict: &entitylink::Dictionary::new(),
+                })
+                .expect("encodes");
+                sqe_store::Snapshot::from_bytes(&bytes).expect("decodes")
+            })
+            .collect();
+        let reopen = |ordinals: Vec<Vec<u32>>| {
+            ShardedService::from_shard_snapshots(
+                &graph,
+                &snaps,
+                "c",
+                ShardRouter::new(2),
+                ordinals,
+                SqeConfig::default(),
+                ServeConfig::default(),
+            )
+        };
+        assert!(reopen(vec![vec![0, 1, 2], vec![3, 4]]).is_ok());
+        match reopen(vec![vec![0, 1, 2], vec![4, 3]]) {
+            Err(sqe_store::StoreError::AuditRejected { what, .. }) => {
+                assert_eq!(what, "ordinal table of shard 1");
+            }
+            Err(other) => panic!("expected AuditRejected, got {other}"),
+            Ok(_) => panic!("a decreasing ordinal table must be rejected"),
+        }
     }
 }
